@@ -1,17 +1,20 @@
-"""Full-grid sweep throughput: analytical fast path vs the simulator.
+"""Full-grid sweep wall time in both modes, against absolute floors.
 
-The analytical backend's reason to exist (ISSUE 7 acceptance): a full
-figure-13/15-style application grid — every suite application on the
-Table-5 cluster counts and Figure-15 ALU counts — must come back at
-least 100x faster through the closed-form model than through the
-cycle-accurate simulator, while agreeing with it cycle for cycle
-(``repro validate-model`` holds the recorded error at its bound).
+One timing engine answers both modes, so the grid's two passes differ
+only in what they return: ``simulated`` builds every point's per-op
+records, ``analytical`` returns totals from summaries and tables
+cached across the grid.  Each pass must stay under an absolute
+wall-time floor for the 90-point grid (every suite application on the
+Table-5 cluster counts and Figure-15 ALU counts), and the two must
+agree cycle for cycle.  The ratio between them is printed and
+recorded, never gated: a ratio punishes speeding up either side.
 
-Both backends run on fresh engines with warm compile caches (the grid
-pays kernel compilation once, ever), so the ratio compares evaluation
-cost only.  Set ``REPRO_BENCH_SWEEP_OUT=PATH`` to append the measured
-trajectory point as one compact envelope line — the same format CI
-publishes as ``BENCH_sweep.json``, mirroring ``BENCH_serve.json``.
+Both modes run on fresh engines with warm compile caches (the grid
+pays kernel compilation once, ever).  The analytical pass is timed
+twice — with cold summary caches (reported) and warm (gated).  Set
+``REPRO_BENCH_SWEEP_OUT=PATH`` to append the measured trajectory point
+as one compact envelope line — the same format CI publishes as
+``BENCH_sweep.json``, mirroring ``BENCH_serve.json``.
 """
 
 from __future__ import annotations
@@ -48,14 +51,24 @@ def _sweep_seconds(mode: str) -> tuple:
     return time.perf_counter() - started, results
 
 
+#: Wall-time floors (seconds) for the 90-point grid, as
+#: ``(strict, relaxed)`` for :func:`perf_floor`.  Set from a shared
+#: 2-core VM (Python 3.11): there the simulated pass took 0.46-0.59 s,
+#: the warm analytical pass 16-29 ms and the cold one 63-113 ms.  The
+#: separate simulator this engine replaced took 3.2-4.3 s for the
+#: simulated pass on the same VM; its analytical cold pass, 76-153 ms.
+SIMULATED_FLOOR_S = (0.75, 1.5)
+ANALYTICAL_FLOOR_S = (0.04, 0.08)
+
+
 def test_sweep_analytical_vs_simulated(benchmark, archive):
-    """Analytical full-grid sweeps must be >=100x faster than the
-    simulator (>=200x on quiet machines) and agree point-by-point."""
-    # Warm the persistent compile caches and the model's summary /
-    # service-table caches so both timed passes measure steady state.
-    clear_summary_cache()
+    """Both modes answer the full grid under their absolute wall-time
+    floors and agree point-by-point."""
+    # Warm the persistent compile caches once for both passes.
     _sweep_seconds("analytical")
     simulated_s, simulated = _sweep_seconds("simulated")
+    clear_summary_cache()
+    analytical_cold_s, _ = _sweep_seconds("analytical")
     analytical_s, analytical = run_once(benchmark, _sweep_seconds,
                                         "analytical")
 
@@ -64,29 +77,32 @@ def test_sweep_analytical_vs_simulated(benchmark, archive):
     ):
         assert model.cycles == sim.cycles, (
             f"{application} C={config.clusters} N={config.alus_per_cluster}: "
-            f"model {model.cycles} vs simulator {sim.cycles} cycles"
+            f"totals {model.cycles} vs records {sim.cycles} cycles"
         )
+        assert len(sim.records) > 0 and model.records == ()
 
     points = len(GRID)
-    speedup = simulated_s / analytical_s
+    ratio = simulated_s / analytical_s
     data = {
-        "bench_version": 1,
+        "bench_version": 2,
         "grid_points": points,
         "simulated_s": round(simulated_s, 6),
         "analytical_s": round(analytical_s, 6),
+        "analytical_cold_s": round(analytical_cold_s, 6),
         "simulated_points_per_s": round(points / simulated_s, 3),
         "analytical_points_per_s": round(points / analytical_s, 3),
-        "speedup": round(speedup, 3),
+        "speedup": round(ratio, 3),
     }
     archive(
         f"Full-grid sweep ({points} application points: "
         f"{len(APPLICATION_ORDER)} apps x C{list(TABLE5_C_VALUES)} "
         f"x N{list(FIG15_N_VALUES)})\n"
-        f"  simulated:   {simulated_s * 1e3:10.1f} ms "
+        f"  simulated:         {simulated_s * 1e3:10.1f} ms "
         f"({points / simulated_s:10.1f} points/s)\n"
-        f"  analytical:  {analytical_s * 1e3:10.1f} ms "
+        f"  analytical (cold): {analytical_cold_s * 1e3:10.1f} ms\n"
+        f"  analytical (warm): {analytical_s * 1e3:10.1f} ms "
         f"({points / analytical_s:10.1f} points/s)\n"
-        f"  speedup:     {speedup:10.1f}x"
+        f"  ratio:             {ratio:10.1f}x (reported, not gated)"
     )
 
     out = os.environ.get("REPRO_BENCH_SWEEP_OUT", "").strip()
@@ -97,6 +113,13 @@ def test_sweep_analytical_vs_simulated(benchmark, archive):
                 envelope, sort_keys=True, separators=(",", ":")
             ) + "\n")
 
-    assert speedup >= perf_floor(strict=200.0, relaxed=100.0), (
-        f"analytical sweep only {speedup:.1f}x faster than the simulator"
+    simulated_floor = perf_floor(*SIMULATED_FLOOR_S)
+    analytical_floor = perf_floor(*ANALYTICAL_FLOOR_S)
+    assert simulated_s <= simulated_floor, (
+        f"simulated grid took {simulated_s:.3f} s "
+        f"(floor {simulated_floor} s)"
+    )
+    assert analytical_s <= analytical_floor, (
+        f"analytical grid took {analytical_s * 1e3:.1f} ms "
+        f"(floor {analytical_floor * 1e3:.0f} ms)"
     )

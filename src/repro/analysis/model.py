@@ -1,86 +1,68 @@
-"""Closed-form analytical performance model (the paper's static analysis).
+"""Totals-only entry points to the timing engine (the paper's static
+analysis).
 
 The source paper derives kernel and application performance largely by
-*static analysis* of compiled schedules rather than by walking every
-cycle: the steady-state initiation interval and the schedule-length
-prologue/epilogue give kernel run time, stream lengths divided by the
-machine's bandwidth ceilings give transfer time, and the section-5.3
-inventory of short-stream overheads (dispatch, microcode reloads,
-software-pipeline priming, host instruction delivery) covers the rest.
-This module is that analysis as a third execution backend next to the
-``scalar``/``vector`` interpreters: :func:`predict_application` answers
-the same question as :func:`repro.sim.processor.simulate` — by evaluating
-the closed-form timing recurrences over a compact, config-independent
-:class:`ProgramSummary` instead of driving simulator component objects —
-and :func:`predict_kernel_call_cycles` is the kernel-level closed form.
+*static analysis* of compiled schedules: the steady-state initiation
+interval and the schedule-length prologue/epilogue give kernel run
+time, stream lengths over the machine's bandwidth ceilings give
+transfer time, and the section-5.3 inventory of short-stream overheads
+covers the rest.  :mod:`repro.sim.engine` is that analysis, as the one
+in-order recurrence every result comes from.  This module runs it
+without a recorder: :func:`predict_application` returns the same
+:class:`~repro.sim.metrics.SimulationResult` totals as
+:func:`repro.sim.processor.simulate`, with an empty ``records`` tuple
+and no metrics, from per-application summaries and per-configuration
+tables it caches across a grid.
 
-The model's terms, per stream operation:
-
-* **host channel** — one stream instruction per
-  ``ceil(64 B / host bandwidth)`` cycles, scoreboard-gated so the host
-  never runs more than 16 operations ahead of completion;
-* **memory pipe** — ``words / (BW x pattern efficiency)`` cycles of
-  shared bandwidth plus the fixed ``T_mem`` access latency;
-* **cluster array** — ``DISPATCH + ucode reload + L + II x (bodies-1)``
-  cycles per kernel call, where ``bodies = ceil(ceil(work/C)/unroll)``
-  is the per-cluster strip length of the software pipeline;
-* **SRF capacity** — when the working set fits (the common case,
-  detected once per application from the config-independent peak
-  residency), stream staging costs nothing and the fast path skips it
-  entirely; when it does not (FFT4K on small machines), the model
-  evaluates the same LRU spill/writeback/reload recurrence the
-  simulator uses, over integer stream handles.
-
-Because every term is the simulator's own closed form, the prediction
-is *exact* on the covered fleet — the validation harness
-(:mod:`repro.analysis.validate_model`) measures the per-point relative
-error against the cycle-accurate simulator across the tier-1 grid and
-fails if it ever exceeds the recorded bound, so the fast path cannot
-silently drift as either side evolves.  What the model does *not*
-produce is the per-operation timeline: predicted results carry an empty
-``records`` tuple (and no metrics snapshot), which is why analytical
-and simulated results must never alias in a memo cache.
-
-Speed: a predicted point is pure integer arithmetic over precompiled
-tables — no event machinery, no tracer checks, no per-op dataclasses —
-and runs in tens to hundreds of microseconds where the simulator takes
-tens of milliseconds (see ``benchmarks/test_bench_sweep.py``).
+``mode`` (:data:`EXECUTION_MODES`) names the two ways to ask:
+``"simulated"`` returns the per-op records, ``"analytical"`` totals
+only.  The numbers are the same; the mode stays part of every memo and
+checkpoint key, so a records-bearing result and a totals-only one never
+alias.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
-from ..apps.streamc import KernelCall, LoadOp, StoreOp, StreamProgram
+from ..apps.streamc import StreamProgram
 from ..apps.suite import get_application
-from ..compiler.pipeline import KernelSchedule, compile_batch
+from ..compiler.pipeline import KernelSchedule
 from ..core.config import ProcessorConfig
 from ..core.params import TECH_45NM, TechnologyNode
 from ..resilience.faults import fault_point
-from ..sim.cluster import DISPATCH_CYCLES, UCODE_WORDS_PER_CYCLE
-from ..sim.host import SCOREBOARD_DEPTH, STREAM_INSTRUCTION_BYTES
-from ..sim.metrics import BandwidthReport, SimulationResult
-from ..sim.srf import CapacityError
+from ..sim.engine import (
+    DISPATCH_CYCLES,
+    ConfigTables,
+    ProgramSummary,
+    build_summary,
+    config_tables,
+    kernel_call_cycles,
+    memory_words_per_cycle,
+    run,
+    service_table,
+    ucode_load_cycles,
+)
+from ..sim.metrics import SimulationResult
 
 __all__ = [
     "EXECUTION_MODES",
     "ProgramSummary",
+    "build_summary",
+    "check_mode",
     "clear_summary_cache",
     "predict_application",
     "predict_kernel_call_cycles",
+    "predict_program",
     "program_summary",
 ]
 
-#: The execution backends a sweep can route application points through.
-#: ``simulated`` is the cycle-accurate simulator; ``analytical`` is this
-#: module.  (:data:`repro.api.SWEEP_MODES` mirrors this tuple so the
-#: light-weight API module never has to import the model.)
+#: The two ways a sweep can ask for an application point: ``simulated``
+#: returns per-op records, ``analytical`` totals only.
+#: (:data:`repro.api.SWEEP_MODES` mirrors this tuple so the light-weight
+#: API module never has to import the engine.)
 EXECUTION_MODES = ("simulated", "analytical")
-
-#: Op kinds in the encoded tables.
-_LOAD, _STORE, _KERNEL = 0, 1, 2
 
 
 def check_mode(mode: str, who: str = "mode") -> str:
@@ -99,208 +81,23 @@ def predict_kernel_call_cycles(
     include_dispatch: bool = True,
     ucode_reload: bool = False,
 ) -> int:
-    """Closed-form cycles for one kernel invocation (paper section 5.3).
+    """Cycles for one kernel invocation (paper section 5.3).
 
     ``DISPATCH + reload + L + II x (bodies - 1)`` where ``bodies`` is
     the number of unrolled software-pipeline bodies each cluster runs:
-    ``ceil(ceil(work_items / C) / unroll)``.  Matches
-    :meth:`repro.sim.cluster.ClusterArray.run` exactly.
+    ``ceil(ceil(work_items / C) / unroll)``.
     """
-    if work_items < 1:
-        raise ValueError("kernel call needs at least one work item")
-    iterations = -(-work_items // schedule.config.clusters)
-    cycles = schedule.inner_loop_cycles(iterations)
-    if include_dispatch:
-        cycles += DISPATCH_CYCLES
+    cycles = kernel_call_cycles(schedule, work_items)
+    if not include_dispatch:
+        cycles -= DISPATCH_CYCLES
     if ucode_reload:
-        cycles += -(-schedule.instruction_count // UCODE_WORDS_PER_CYCLE)
+        cycles += ucode_load_cycles(schedule.instruction_count)
     return cycles
-
-
-@dataclass(frozen=True)
-class ProgramSummary:
-    """Config-independent static digest of one stream program.
-
-    Everything :func:`predict_application` needs per design point is
-    derived from these flat integer tables plus the compiled schedules;
-    the (mildly expensive) program construction and graph walks happen
-    once per application, not once per grid point.
-    """
-
-    name: str
-    #: Per op: :data:`_LOAD`/:data:`_STORE`/:data:`_KERNEL`.
-    kinds: Tuple[int, ...]
-    #: Per op: stream id for loads/stores, kernel id for kernel calls.
-    subject: Tuple[int, ...]
-    #: Per op: ``work_items`` for kernel calls, 0 otherwise.
-    work: Tuple[int, ...]
-    #: Per op: producer-op indices this op waits on.
-    deps: Tuple[Tuple[int, ...], ...]
-    #: Per op: input / output stream ids (kernel calls only).
-    inputs: Tuple[Tuple[int, ...], ...]
-    outputs: Tuple[Tuple[int, ...], ...]
-    #: Per op: stream ids whose last use is this op (released after it).
-    releases: Tuple[Tuple[int, ...], ...]
-    #: Per stream: SRF footprint in words / memory-pattern efficiency.
-    stream_words: Tuple[int, ...]
-    stream_efficiency: Tuple[float, ...]
-    #: Per stream: index of the last op touching it (-1 = never).
-    stream_last_use: Tuple[int, ...]
-    #: Streams resident in the SRF before cycle 0.
-    preloaded: Tuple[int, ...]
-    #: Unique kernels, in first-call order (graphs are what compile).
-    kernels: Tuple[object, ...]
-    #: Per kernel id: op index of its first call (microcode load site).
-    first_call: Tuple[int, ...]
-    #: Totals that do not depend on the configuration.
-    total_alu_ops: int
-    lrf_words: int
-    srf_access_words: int
-    explicit_memory_words: int
-    #: Peak simultaneous SRF residency assuming no evictions; a config
-    #: whose capacity covers this provably never spills.
-    peak_resident_words: int
-
-    @property
-    def op_count(self) -> int:
-        return len(self.kinds)
-
-
-def build_summary(program: StreamProgram) -> ProgramSummary:
-    """Digest ``program`` into the model's flat tables (one pass)."""
-    program.validate()
-    stream_ids: Dict[object, int] = {}
-    stream_words: List[int] = []
-    stream_eff: List[float] = []
-
-    def sid(stream) -> int:
-        known = stream_ids.get(stream)
-        if known is not None:
-            return known
-        new = len(stream_words)
-        stream_ids[stream] = new
-        stream_words.append(int(stream.words))
-        stream_eff.append(float(stream.pattern.efficiency))
-        return new
-
-    kernel_ids: Dict[int, int] = {}
-    kernels: List[object] = []
-    first_call: List[int] = []
-
-    kinds: List[int] = []
-    subject: List[int] = []
-    work: List[int] = []
-    deps: List[Tuple[int, ...]] = []
-    inputs: List[Tuple[int, ...]] = []
-    outputs: List[Tuple[int, ...]] = []
-
-    last_use = program.last_use()
-    total_alu_ops = 0
-    lrf_words = 0
-    srf_access_words = 0
-    explicit_memory_words = 0
-
-    for i, op in enumerate(program.ops):
-        deps.append(tuple(program.dependencies(i)))
-        if isinstance(op, LoadOp):
-            kinds.append(_LOAD)
-            subject.append(sid(op.stream))
-            work.append(0)
-            inputs.append(())
-            outputs.append(())
-            explicit_memory_words += int(op.stream.words)
-        elif isinstance(op, StoreOp):
-            kinds.append(_STORE)
-            subject.append(sid(op.stream))
-            work.append(0)
-            inputs.append(())
-            outputs.append(())
-            explicit_memory_words += int(op.stream.words)
-        else:
-            call: KernelCall = op
-            kid = kernel_ids.get(id(call.kernel))
-            if kid is None:
-                kid = len(kernels)
-                kernel_ids[id(call.kernel)] = kid
-                kernels.append(call.kernel)
-                first_call.append(i)
-            kinds.append(_KERNEL)
-            subject.append(kid)
-            work.append(call.work_items)
-            inputs.append(tuple(sid(s) for s in call.inputs))
-            outputs.append(tuple(sid(s) for s in call.outputs))
-            stats = call.kernel.stats()
-            per_item = (
-                stats.alu_ops + stats.srf_accesses + stats.comms
-                + stats.sp_accesses
-            )
-            total_alu_ops += call.work_items * stats.alu_ops
-            lrf_words += 3 * per_item * call.work_items
-            srf_access_words += stats.srf_accesses * call.work_items
-
-    last_use_ids = [-1] * len(stream_words)
-    releases: List[List[int]] = [[] for _ in kinds]
-    for stream, op_index in last_use.items():
-        s = stream_ids.get(stream)
-        if s is None:  # touched stream that never entered the tables
-            s = sid(stream)
-            last_use_ids.append(-1)
-        last_use_ids[s] = op_index
-        releases[op_index].append(s)
-
-    preloaded = tuple(sid(s) for s in program.preloaded)
-
-    # Peak no-eviction residency: replay allocations and releases with
-    # unlimited capacity.  If a configuration's SRF covers this peak,
-    # the LRU allocator can never need room — the eviction machinery is
-    # provably idle and the fast path may skip SRF bookkeeping.
-    resident = set(preloaded)
-    used = sum(stream_words[s] for s in resident)
-    peak = used
-    for i, kind in enumerate(kinds):
-        if kind == _LOAD:
-            touched = (subject[i],)
-        elif kind == _STORE:
-            touched = ()
-        else:
-            touched = tuple(inputs[i]) + tuple(outputs[i])
-        for s in touched:
-            if s not in resident:
-                resident.add(s)
-                used += stream_words[s]
-        if used > peak:
-            peak = used
-        for s in releases[i]:
-            if s in resident:
-                resident.discard(s)
-                used -= stream_words[s]
-
-    return ProgramSummary(
-        name=program.name,
-        kinds=tuple(kinds),
-        subject=tuple(subject),
-        work=tuple(work),
-        deps=tuple(deps),
-        inputs=tuple(inputs),
-        outputs=tuple(outputs),
-        releases=tuple(tuple(r) for r in releases),
-        stream_words=tuple(stream_words),
-        stream_efficiency=tuple(stream_eff),
-        stream_last_use=tuple(last_use_ids),
-        preloaded=preloaded,
-        kernels=tuple(kernels),
-        first_call=tuple(first_call),
-        total_alu_ops=total_alu_ops,
-        lrf_words=lrf_words,
-        srf_access_words=srf_access_words,
-        explicit_memory_words=explicit_memory_words,
-        peak_resident_words=peak,
-    )
 
 
 _SUMMARIES: Dict[str, ProgramSummary] = {}
 _SERVICE_TABLES: Dict[tuple, Tuple[int, ...]] = {}
-_CONFIG_TABLES: Dict[tuple, "_ConfigTables"] = {}
+_CONFIG_TABLES: Dict[tuple, ConfigTables] = {}
 _SUMMARY_LOCK = threading.Lock()
 
 
@@ -331,17 +128,25 @@ def predict_application(
     node: TechnologyNode = TECH_45NM,
     clock_ghz: float = 1.0,
 ) -> SimulationResult:
-    """Predict one application run without simulating it.
+    """One application run, totals only.
 
-    Returns a :class:`~repro.sim.metrics.SimulationResult` whose
-    scalar fields (cycles, utilizations, spills, bandwidth words) match
-    :func:`repro.sim.processor.simulate` on the same point; ``records``
-    is empty and ``metrics`` is ``None`` — the model produces totals,
-    not a timeline.
+    Same scalar fields as :func:`repro.sim.processor.simulate` on the
+    same point; ``records`` is empty and ``metrics`` is ``None``.
     """
     fault_point("model.predict")
     summary = program_summary(application)
-    return _predict(summary, config, node, clock_ghz, cache=True)
+    key = (application, node, clock_ghz, config.params.b)
+    service = _SERVICE_TABLES.get(key)
+    if service is None:
+        service = _SERVICE_TABLES[key] = service_table(
+            summary, memory_words_per_cycle(config, node, clock_ghz)
+        )
+    tables = _CONFIG_TABLES.get((application, config))
+    if tables is None:
+        tables = _CONFIG_TABLES[application, config] = config_tables(
+            summary, config
+        )
+    return run(summary, config, node, clock_ghz, tables, service)
 
 
 def predict_program(
@@ -352,412 +157,4 @@ def predict_program(
 ) -> SimulationResult:
     """Like :func:`predict_application`, for an ad-hoc program object
     (no caching — library embedders with custom programs)."""
-    summary = build_summary(program)
-    return _predict(summary, config, node, clock_ghz, cache=False)
-
-
-@dataclass(frozen=True)
-class _ConfigTables:
-    """Per-(program, config) precompute: everything the timing
-    recurrence consumes that depends on the machine configuration."""
-
-    schedules: Tuple[KernelSchedule, ...]
-    durations: Tuple[int, ...]
-    ucode_fits: bool
-    ucode_reloads: int
-    ucode_reload_cycles: int
-
-
-def _service_table(
-    summary: ProgramSummary, words_per_cycle: float
-) -> Tuple[int, ...]:
-    """Memory service cycles per stream: ``words / (BW x efficiency)``.
-
-    Independent of cluster count and ALU count — one table covers a
-    whole C x N grid for a given technology node and clock.
-    """
-    return tuple(
-        int(round(words / (words_per_cycle * eff)))
-        for words, eff in zip(
-            summary.stream_words, summary.stream_efficiency
-        )
-    )
-
-
-def _config_tables(
-    summary: ProgramSummary, config: ProcessorConfig
-) -> _ConfigTables:
-    """Schedule-derived tables for one configuration.
-
-    Per kernel call: ``DISPATCH + L + II x (bodies - 1)`` cluster
-    cycles, with the one-time microcode load folded into the first call
-    when the whole kernel set fits the instruction store (it always
-    does for the suite; the general LRU recurrence covers the rest).
-    """
-    schedules = tuple(
-        compile_batch([(k, config) for k in summary.kernels])
-    )
-    ucode_capacity = int(config.params.r_uc)
-    ucode_words = [s.instruction_count for s in schedules]
-    ucode_fits = sum(ucode_words) <= ucode_capacity
-    clusters = config.clusters
-    kinds = summary.kinds
-    subject = summary.subject
-    work = summary.work
-    durations = [0] * len(kinds)
-    called = [False] * len(schedules)
-    ucode_reloads = 0
-    ucode_reload_cycles = 0
-    for i, kind in enumerate(kinds):
-        if kind != _KERNEL:
-            continue
-        kid = subject[i]
-        sched = schedules[kid]
-        iterations = -(-work[i] // clusters)
-        bodies = -(-iterations // sched.unroll_factor)
-        duration = (
-            DISPATCH_CYCLES + sched.length + sched.ii * (bodies - 1)
-        )
-        if ucode_fits and not called[kid]:
-            called[kid] = True
-            reload = -(-ucode_words[kid] // UCODE_WORDS_PER_CYCLE)
-            duration += reload
-            ucode_reloads += 1
-            ucode_reload_cycles += reload
-        durations[i] = duration
-    return _ConfigTables(
-        schedules=schedules,
-        durations=tuple(durations),
-        ucode_fits=ucode_fits,
-        ucode_reloads=ucode_reloads,
-        ucode_reload_cycles=ucode_reload_cycles,
-    )
-
-
-def _predict(
-    summary: ProgramSummary,
-    config: ProcessorConfig,
-    node: TechnologyNode,
-    clock_ghz: float,
-    cache: bool,
-) -> SimulationResult:
-    # --- machine constants, derived exactly as the simulator does ----
-    host_bytes_per_cycle = node.host_bw_gbps / clock_ghz
-    cpi = max(
-        1, int(round(STREAM_INSTRUCTION_BYTES / host_bytes_per_cycle))
-    )
-    word_bytes = config.params.b / 8.0
-    words_per_cycle = (node.memory_bw_gbps / clock_ghz) / word_bytes
-    mem_latency = int(config.params.t_mem)
-    capacity = int(config.srf_capacity_words)
-    ucode_capacity = int(config.params.r_uc)
-
-    if cache:
-        key = (summary.name, node, clock_ghz, config.params.b)
-        service = _SERVICE_TABLES.get(key)
-        if service is None:
-            service = _service_table(summary, words_per_cycle)
-            _SERVICE_TABLES[key] = service
-        ckey = (summary.name, config)
-        tables = _CONFIG_TABLES.get(ckey)
-        if tables is None:
-            tables = _config_tables(summary, config)
-            _CONFIG_TABLES[ckey] = tables
-    else:
-        service = _service_table(summary, words_per_cycle)
-        tables = _config_tables(summary, config)
-
-    schedules = tables.schedules
-    durations = tables.durations
-    ucode_fits = tables.ucode_fits
-    ucode_reloads = tables.ucode_reloads
-
-    if ucode_fits and capacity >= summary.peak_resident_words:
-        cycles, memory_busy, cluster_busy = _evaluate_fast(
-            summary, durations, service, cpi, mem_latency
-        )
-        spill_words = reload_words = 0
-        memory_words = summary.explicit_memory_words
-    else:
-        (
-            cycles, memory_busy, cluster_busy, spill_words, reload_words,
-            memory_words, ucode_reloads,
-        ) = _evaluate_with_srf(
-            summary, schedules, durations, service, cpi, mem_latency,
-            capacity, ucode_capacity, ucode_fits, words_per_cycle,
-            ucode_reloads,
-        )
-
-    return SimulationResult(
-        program=summary.name,
-        config=config,
-        clock_ghz=clock_ghz,
-        cycles=cycles,
-        useful_alu_ops=summary.total_alu_ops,
-        records=(),
-        spill_words=spill_words,
-        reload_words=reload_words,
-        memory_busy_cycles=memory_busy,
-        cluster_busy_cycles=cluster_busy,
-        ucode_reloads=ucode_reloads,
-        bandwidth=BandwidthReport(
-            lrf_words=summary.lrf_words,
-            srf_words=summary.srf_access_words + memory_words,
-            memory_words=memory_words,
-        ),
-        metrics=None,
-    )
-
-
-def _evaluate_fast(
-    summary: ProgramSummary,
-    durations: Sequence[int],
-    service: Sequence[int],
-    cpi: int,
-    mem_latency: int,
-) -> Tuple[int, int, int]:
-    """The spill-free timing recurrence: pure max-plus arithmetic.
-
-    Every operation's completion is the max of its dependences, the
-    scoreboard-gated host delivery, and its resource's availability,
-    plus its closed-form duration.  No SRF state, no objects — this
-    loop is the entire cost of one analytical grid point.
-    """
-    kinds = summary.kinds
-    subject = summary.subject
-    deps = summary.deps
-    n_ops = len(kinds)
-    completion = [0] * n_ops
-    channel_free = 0
-    mem_free = 0
-    cluster_free = 0
-    memory_busy = 0
-    cluster_busy = 0
-    depth = SCOREBOARD_DEPTH
-    for i in range(n_ops):
-        gate = completion[i - depth] if i >= depth else 0
-        if channel_free > gate:
-            gate = channel_free
-        channel_free = gate + cpi
-        ready = channel_free
-        for d in deps[i]:
-            t = completion[d]
-            if t > ready:
-                ready = t
-        if kinds[i] == _KERNEL:
-            duration = durations[i]
-            if cluster_free > ready:
-                ready = cluster_free
-            finish = ready + duration
-            cluster_free = finish
-            cluster_busy += duration
-        else:
-            cost = service[subject[i]]
-            if mem_free > ready:
-                ready = mem_free
-            mem_free = ready + cost
-            memory_busy += cost
-            finish = mem_free + mem_latency
-        completion[i] = finish
-    return (max(completion, default=0), memory_busy, cluster_busy)
-
-
-def _evaluate_with_srf(
-    summary: ProgramSummary,
-    schedules: Sequence[KernelSchedule],
-    durations: Sequence[int],
-    service: Sequence[int],
-    cpi: int,
-    mem_latency: int,
-    capacity: int,
-    ucode_capacity: int,
-    ucode_fits: bool,
-    words_per_cycle: float,
-    ucode_reloads: int,
-) -> Tuple[int, int, int, int, int, int, int]:
-    """The full recurrence with SRF spilling, over integer handles.
-
-    Runs only when a configuration's SRF cannot hold the application's
-    peak working set (or, theoretically, when the kernel set overflows
-    the microcode store): the same LRU/writeback/reload rules as
-    :class:`repro.sim.srf.SRFAllocator`, an order of magnitude cheaper
-    than driving the simulator.
-    """
-    kinds = summary.kinds
-    subject = summary.subject
-    deps = summary.deps
-    inputs = summary.inputs
-    outputs = summary.outputs
-    releases = summary.releases
-    stream_words = summary.stream_words
-    last_use = summary.stream_last_use
-    eff = summary.stream_efficiency
-
-    n_ops = len(kinds)
-    completion = [0] * n_ops
-    channel_free = 0
-    mem_free = 0
-    cluster_free = 0
-    memory_busy = 0
-    cluster_busy = 0
-    spill_out = 0
-    reload_in = 0
-    memory_words = 0
-    transfer_count = 0
-
-    # SRF allocator state (insertion-ordered dict = the sim's LRU scan).
-    resident: Dict[int, int] = {}
-    dirty: set = set()
-    pinned: set = set()
-    last_touch: Dict[int, int] = {}
-    used = 0
-
-    # Microcode store (LRU by kernel id) for the no-fit corner; when
-    # the kernel set fits, the one-time reloads are already folded into
-    # ``durations`` and ``ucode_reloads`` arrives precomputed.
-    uc_resident: Dict[int, int] = {}
-    uc_used = 0
-    if not ucode_fits:
-        ucode_reloads = 0
-
-    def transfer(words: int, earliest: int, efficiency: float = 1.0):
-        """One memory-pipe transfer; returns (bandwidth_done, data_ready)."""
-        nonlocal mem_free, memory_busy, memory_words, transfer_count
-        start = earliest if earliest > mem_free else mem_free
-        cost = int(round(words / (words_per_cycle * efficiency)))
-        done = start + cost
-        mem_free = done
-        memory_busy += cost
-        memory_words += words
-        transfer_count += 1
-        return done, done + mem_latency
-
-    def allocate(s: int, now: int, make_dirty: bool) -> List[Tuple[int, bool]]:
-        """Make stream ``s`` resident; returns (words, writeback) evictions."""
-        nonlocal used, spill_out
-        last_touch[s] = now
-        if s in resident:
-            if make_dirty:
-                dirty.add(s)
-            return []
-        words = stream_words[s]
-        if words > capacity:
-            raise CapacityError(
-                f"stream {s} ({words} words) exceeds the whole SRF "
-                f"({capacity} words); the application must strip-mine"
-            )
-        evictions: List[Tuple[int, bool]] = []
-        while capacity - used < words:
-            victim = None
-            victim_touch = None
-            for cand in resident:
-                if cand in pinned:
-                    continue
-                touch = last_touch[cand]
-                if victim_touch is None or touch < victim_touch:
-                    victim = cand
-                    victim_touch = touch
-            if victim is None:
-                raise CapacityError(
-                    "SRF working set of one operation exceeds capacity; "
-                    "the application must strip-mine"
-                )
-            v_words = resident.pop(victim)
-            used -= v_words
-            writeback = victim in dirty
-            dirty.discard(victim)
-            if writeback:
-                spill_out += v_words
-            evictions.append((victim, v_words, writeback))
-        resident[s] = words
-        used += words
-        if make_dirty:
-            dirty.add(s)
-        return evictions
-
-    def spill(evictions, op_index: int, earliest: int) -> int:
-        """Write back evicted streams that are still needed."""
-        t = earliest
-        for victim, words, writeback in evictions:
-            if writeback and last_use[victim] > op_index:
-                t, _ = transfer(words, t)
-        return t
-
-    for s in summary.preloaded:
-        allocate(s, -1, True)
-
-    depth = SCOREBOARD_DEPTH
-    for i in range(n_ops):
-        gate = completion[i - depth] if i >= depth else 0
-        if channel_free > gate:
-            gate = channel_free
-        channel_free = gate + cpi
-        ready = channel_free
-        for d in deps[i]:
-            t = completion[d]
-            if t > ready:
-                ready = t
-        kind = kinds[i]
-        if kind == _LOAD:
-            s = subject[i]
-            evictions = allocate(s, i, False)
-            start = spill(evictions, i, ready)
-            _, finish = transfer(stream_words[s], start, eff[s])
-        elif kind == _STORE:
-            s = subject[i]
-            _, finish = transfer(stream_words[s], ready, eff[s])
-        else:
-            start = ready
-            for s in inputs[i]:
-                pinned.add(s)
-            for s in outputs[i]:
-                pinned.add(s)
-            for s in inputs[i]:
-                if s not in resident:
-                    evictions = allocate(s, i, False)
-                    start = spill(evictions, i, start)
-                    _, start = transfer(stream_words[s], start, eff[s])
-                    reload_in += stream_words[s]
-            for s in outputs[i]:
-                evictions = allocate(s, i, True)
-                start = spill(evictions, i, start)
-            duration = durations[i]
-            if not ucode_fits:
-                kid = subject[i]
-                words = schedules[kid].instruction_count
-                if kid in uc_resident:
-                    uc_resident[kid] = uc_resident.pop(kid)  # touch MRU
-                else:
-                    while uc_resident and uc_used + words > ucode_capacity:
-                        lru = next(iter(uc_resident))
-                        uc_used -= uc_resident.pop(lru)
-                    uc_resident[kid] = words
-                    uc_used += words
-                    ucode_reloads += 1
-                    duration += -(-words // UCODE_WORDS_PER_CYCLE)
-            if cluster_free > start:
-                start = cluster_free
-            finish = start + duration
-            cluster_free = finish
-            cluster_busy += duration
-            for s in inputs[i]:
-                pinned.discard(s)
-            for s in outputs[i]:
-                pinned.discard(s)
-        completion[i] = finish
-        for s in releases[i]:
-            words = resident.pop(s, None)
-            if words is not None:
-                used -= words
-            dirty.discard(s)
-            pinned.discard(s)
-
-    return (
-        max(completion, default=0),
-        memory_busy,
-        cluster_busy,
-        spill_out,
-        reload_in,
-        memory_words,
-        ucode_reloads,
-    )
+    return run(build_summary(program), config, node, clock_ghz)

@@ -361,13 +361,12 @@ class SweepEngine:
     ) -> SimulationResult:
         """``simulate(get_application(application), config)``, memoized.
 
-        ``mode`` selects the execution backend: ``"simulated"`` drives
-        the cycle-accurate simulator, ``"analytical"`` evaluates the
-        closed-form model (:mod:`repro.analysis.model`) — same scalar
-        results on the validated fleet, no per-op timeline, about two
-        orders of magnitude faster per cold point.  The mode is part of
-        the memo key (and the checkpoint key), so results from the two
-        backends can never alias.
+        ``mode`` chooses the result's shape, not its numbers:
+        ``"simulated"`` runs the timing engine with a recorder (per-op
+        records), ``"analytical"`` without one (totals only, from
+        summaries and tables cached across the grid).  The mode is part
+        of the memo key (and the checkpoint key), so the two shapes can
+        never alias.
         """
         check_mode(mode)
         key = (application, config, node, clock_ghz, mode)
@@ -419,9 +418,9 @@ class SweepEngine:
 
         Sits above the compiler's own schedule cache: a hit skips the
         machine-description build and cache-key construction too.
-        Kernel rates are a schedule closed form in *both* modes (the
-        simulator's cluster array runs the same arithmetic), but the
-        mode still participates in the memo key so backends never alias.
+        Kernel rates are a schedule closed form in *both* modes, but the
+        mode still participates in the memo key so the modes never
+        alias.
         """
         check_mode(mode)
         key = (kernel, config, mode)
@@ -535,10 +534,9 @@ class SweepEngine:
         spawn worker processes the engine degrades to the serial path
         rather than failing the sweep.
 
-        ``mode="analytical"`` evaluates the closed-form model instead
-        of the simulator for every cold point; a process pool is never
-        spawned for analytical grids — per-point cost is microseconds,
-        far below fork/pickle overhead, so the serial path always wins.
+        ``mode="analytical"`` asks for totals only; a process pool is
+        never spawned for analytical grids — per-point cost is far
+        below fork/pickle overhead, so the serial path always wins.
         """
         check_mode(mode)
         with self._lock:
@@ -649,7 +647,7 @@ class SweepEngine:
             self.last_executor_stats = executor.stats()
         done = 0
         for (application, config), result in zip(missing, results):
-            # The pool only ever runs cycle-accurate points (analytical
+            # The pool only ever runs records-bearing points (analytical
             # grids stay serial), so the key's mode is fixed.
             key = (application, config, node, clock_ghz, "simulated")
             self._sim_cache[key] = result

@@ -80,7 +80,10 @@ API_VERSION = 5
 #: Sweep targets :func:`run_sweep` understands.
 SWEEP_TARGETS = ("fig13", "fig14", "table5", "fig15", "headline")
 
-#: Execution backends simulate/sweep requests accept.  Mirrors
+#: Modes simulate/sweep requests accept: ``simulated`` (totals plus
+#: per-op records) or ``analytical`` (totals only) — one engine, the
+#: same numbers; kept in API v5, and in memo and checkpoint keys, so
+#: the two result shapes never alias.  Mirrors
 #: :data:`repro.analysis.model.EXECUTION_MODES` (asserted by the test
 #: suite) without importing the heavy analysis stack at request-build
 #: time.
@@ -226,11 +229,11 @@ class CompileRequest(_Payload):
 class SimulateRequest(_Payload):
     """Simulate one application on one ``(C, N)`` configuration.
 
-    ``mode`` selects the execution backend: ``"simulated"`` (the
-    cycle-accurate simulator, the default) or ``"analytical"`` (the
-    closed-form model — same scalar results on the validated fleet,
-    answers in microseconds).  ``max_events`` is a simulator livelock
-    budget and therefore only meaningful with ``mode="simulated"``.
+    One timing engine answers both ``mode`` values with the same
+    numbers: ``"simulated"`` (the default) also records the per-op
+    timeline, ``"analytical"`` returns totals only.  ``max_events``
+    bounds the recorded run's completion replay (one event per op), so
+    it is only meaningful with ``mode="simulated"``.
     """
 
     application: str = ""
@@ -264,8 +267,8 @@ class SimulateRequest(_Payload):
         _check_mode(self.mode, "SimulateRequest")
         _require(
             not (self.mode == "analytical" and self.max_events is not None),
-            "SimulateRequest: max_events is a simulator budget and cannot "
-            "be combined with mode='analytical'",
+            "SimulateRequest: max_events budgets the recorded run and "
+            "cannot be combined with mode='analytical'",
         )
 
 
@@ -276,9 +279,8 @@ class SweepRequest(_Payload):
     ``target`` is one of :data:`SWEEP_TARGETS`; ``apps`` additionally
     runs the (slower) application simulations where the target supports
     them (``headline``); ``workers`` fans cold grid points out over a
-    process pool; ``mode`` selects the execution backend
-    (:data:`SWEEP_MODES` — ``"analytical"`` answers a full grid in
-    milliseconds from the closed-form model).
+    process pool; ``mode`` (:data:`SWEEP_MODES`) chooses per-op records
+    or totals only for application points — the rows are identical.
     """
 
     target: str = ""
@@ -636,12 +638,6 @@ def validate_request(request: AnyRequest) -> None:
             )
     elif isinstance(request, SimulateRequest):
         if request.application.startswith("kernel:"):
-            _require(
-                request.mode == "simulated",
-                "SimulateRequest: registered kernels run as synthetic "
-                "microbenchmarks and require mode='simulated' (the "
-                "analytical model covers the built-in applications)",
-            )
             _check_kernel_ref(request.application)
         else:
             from .apps.suite import APPLICATION_ORDER

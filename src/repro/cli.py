@@ -345,44 +345,53 @@ def cmd_simulate(args: argparse.Namespace) -> int:
               f"(or a registered kernel:<hash> reference)", file=sys.stderr)
         return 2
     config = _config(args)
-    if args.mode == "analytical":
-        if is_kernel_ref:
-            print("mode 'analytical' models the built-in applications; "
-                  "registered kernels need --mode simulated",
-                  file=sys.stderr)
-            return 2
-        return _simulate_analytical(args, config)
-    if args.json or args.trace_out:
+    analytical = args.mode == "analytical"
+    if analytical and (args.timeline or args.gantt or args.trace_out):
+        print("mode 'analytical' returns totals without a per-op "
+              "timeline; --timeline/--gantt/--trace-out need "
+              "--mode simulated", file=sys.stderr)
+        return 2
+    if analytical:
+        from .analysis.model import predict_application
+
+        profiler = PhaseProfiler()
+        with profiler.phase("predict"):
+            result = predict_application(args.application, config)
+    elif args.json or args.trace_out:
         tracer = Tracer()
         result, profiler = _run_instrumented(args, tracer)
         if args.trace_out:
             with open(args.trace_out, "w") as handle:
                 handle.write(tracer.to_chrome_json(indent=2))
-        if args.json:
-            from .api import SimulateResult
-
-            manifest = build_manifest(
-                result,
-                application=args.application,
-                timings=profiler.as_dict(),
-            )
-            return _emit_envelope(
-                "simulate",
-                SimulateResult.from_simulation(
-                    result, args.application
-                ).to_dict(),
-                meta={
-                    "manifest": manifest,
-                    "compile_cache": default_cache().stats(),
-                },
-            )
     else:
         result = simulate(
             get_application(args.application),
             config,
             max_events=args.max_events,
         )
-    print(f"{args.application} on {config.describe()}:")
+    if args.json:
+        from .api import SimulateResult
+
+        manifest = build_manifest(
+            result,
+            application=args.application,
+            timings=profiler.as_dict(),
+        )
+        meta = {
+            "manifest": manifest,
+            "compile_cache": default_cache().stats(),
+        }
+        if analytical:
+            meta["mode"] = "analytical"
+        return _emit_envelope(
+            "simulate",
+            SimulateResult.from_simulation(
+                result, args.application
+            ).to_dict(),
+            meta=meta,
+        )
+    suffix = " (analytical model)" if analytical else ""
+    print(f"{args.application} on {config.describe()}{suffix}:")
     print(f"  cycles:       {result.cycles}")
     print(f"  sustained:    {result.gops:.1f} GOPS "
           f"({result.alu_utilization:.1%} of peak)")
@@ -395,6 +404,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
           f"memory {mem:.2f} GB/s "
           f"({result.bandwidth.locality_fraction:.1%} on-chip)")
     print(f"  {_cache_summary()}")
+    if analytical:
+        print(f"  predicted in {profiler.seconds('predict') * 1e3:.2f} ms "
+              "(totals only; --mode simulated adds the per-op timeline)")
     if args.timeline:
         for record in result.records:
             print(f"    [{record.start:>9}..{record.finish:>9}] "
@@ -404,61 +416,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
         print()
         print(render_gantt(result))
-    return 0
-
-
-def _simulate_analytical(args: argparse.Namespace, config) -> int:
-    """``simulate --mode analytical``: the closed-form model's answer.
-
-    The model produces totals, not a per-operation timeline, so the
-    timeline-shaped outputs (``--timeline``/``--gantt``/``--trace-out``)
-    are rejected rather than silently printed empty.
-    """
-    if args.timeline or args.gantt or args.trace_out:
-        print("mode 'analytical' predicts totals without a timeline; "
-              "--timeline/--gantt/--trace-out need --mode simulated",
-              file=sys.stderr)
-        return 2
-    from .analysis.model import predict_application
-
-    profiler = PhaseProfiler()
-    with profiler.phase("predict"):
-        result = predict_application(args.application, config)
-    if args.json:
-        from .api import SimulateResult
-
-        manifest = build_manifest(
-            result,
-            application=args.application,
-            timings=profiler.as_dict(),
-        )
-        return _emit_envelope(
-            "simulate",
-            SimulateResult.from_simulation(
-                result, args.application
-            ).to_dict(),
-            meta={
-                "manifest": manifest,
-                "compile_cache": default_cache().stats(),
-                "mode": "analytical",
-            },
-        )
-    print(f"{args.application} on {config.describe()} "
-          "(analytical model):")
-    print(f"  cycles:       {result.cycles}")
-    print(f"  sustained:    {result.gops:.1f} GOPS "
-          f"({result.alu_utilization:.1%} of peak)")
-    print(f"  memory busy:  {result.memory_utilization:.1%}")
-    print(f"  cluster busy: {result.cluster_utilization:.1%}")
-    print(f"  SRF spills:   {result.spill_words} words out, "
-          f"{result.reload_words} back")
-    lrf, srf, mem = result.bandwidth.gbps(result.cycles, result.clock_ghz)
-    print(f"  bandwidth:    LRF {lrf:.0f} / SRF {srf:.1f} / "
-          f"memory {mem:.2f} GB/s "
-          f"({result.bandwidth.locality_fraction:.1%} on-chip)")
-    print(f"  predicted in {profiler.seconds('predict') * 1e3:.2f} ms "
-          "(closed form; validated against the simulator, "
-          "see 'repro validate-model')")
     return 0
 
 
@@ -568,36 +525,6 @@ def _sweep_meta(engine, elapsed: float) -> dict:
     return meta
 
 
-def _model_error_meta() -> dict:
-    """The recorded model-validation summary, for envelope metadata."""
-    from .analysis.validate_model import recorded_report
-
-    report = recorded_report()
-    if report is None:
-        return {"recorded": False}
-    return {
-        "recorded": True,
-        "max_rel_error": report["max_rel_error"],
-        "mean_rel_error": report["mean_rel_error"],
-        "bound": report["bound"],
-        "passed": bool(report.get("passed")),
-    }
-
-
-def _mode_summary_line() -> str:
-    """One line naming the backend and its recorded honesty budget."""
-    from .analysis.validate_model import recorded_report
-
-    report = recorded_report()
-    if report is None:
-        return ("mode: analytical (closed-form model; no recorded "
-                "validation report — run 'repro validate-model')")
-    total = report.get("grid", {}).get("total", "?")
-    return (f"mode: analytical (closed-form model; recorded max rel "
-            f"error {report['max_rel_error']:.6f} vs the simulator over "
-            f"{total} points, bound {report['bound']:.3f})")
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     """Figures 13/14 + Table 5 (and Figure 15 with ``--apps``) in one
     run, followed by a one-line compile/cache summary."""
@@ -621,8 +548,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         elapsed = time.perf_counter() - started
         meta = _sweep_meta(default_engine(), elapsed)
         meta["mode"] = args.mode
-        if args.mode == "analytical":
-            meta["model_error"] = _model_error_meta()
         return _emit_envelope(
             "report",
             {"studies": studies},
@@ -651,49 +576,14 @@ def cmd_report(args: argparse.Namespace) -> int:
           f"{engine_stats['rate_hits']} memo hits); "
           f"{_cache_summary()}; {elapsed:.2f}s wall")
     if args.mode == "analytical":
-        print(_mode_summary_line())
+        print("mode: analytical (closed-form model: the same totals, "
+              "without per-op records)")
     if engine.checkpoint is not None and engine.checkpoint.enabled:
         ck = engine.checkpoint.stats()
         print(f"checkpoint: {ck['loads']} points restored, "
               f"{ck['writes']} written, {ck['corrupt']} corrupt "
               f"({engine.checkpoint.root})")
     return 0
-
-
-def cmd_validate_model(args: argparse.Namespace) -> int:
-    """Run the analytical model point-by-point against the simulator
-    over the tier-1 grid; non-zero exit when the recorded bound is
-    exceeded."""
-    from .analysis.validate_model import (
-        MODEL_ERROR_BOUND,
-        build_report,
-        recorded_report,
-        render_report,
-        write_report,
-    )
-
-    if args.bound is not None:
-        bound = args.bound
-    else:
-        recorded = recorded_report()
-        bound = (
-            recorded["bound"] if recorded is not None else MODEL_ERROR_BOUND
-        )
-    report = build_report(bound=bound)
-    if args.out:
-        write_report(args.out, report)
-    if args.json:
-        summary = {k: v for k, v in report.items() if k != "points"}
-        _emit_envelope(
-            "validate-model",
-            summary,
-            meta={"points_written_to": args.out} if args.out else None,
-        )
-        return 0 if report["passed"] else 1
-    print(render_report(report))
-    if args.out:
-        print(f"wrote full report to {args.out}")
-    return 0 if report["passed"] else 1
 
 
 def cmd_export(args: argparse.Namespace) -> int:
@@ -1181,8 +1071,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="event budget before declaring livelock")
     sim.add_argument("--mode", choices=("simulated", "analytical"),
                      default="simulated",
-                     help="execution backend: cycle-accurate simulator "
-                          "(default) or the closed-form analytical model")
+                     help="simulated (default): totals plus the per-op "
+                          "timeline; analytical: totals only")
     _add_cache_arguments(sim)
     sim.set_defaults(func=cmd_simulate)
 
@@ -1212,8 +1102,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help=f"subset: {', '.join(sorted(_FIGURES))}")
     figs.add_argument("--mode", choices=("simulated", "analytical"),
                       default="simulated",
-                      help="backend for the performance figures "
-                           "(cost figures are mode-independent)")
+                      help="records (simulated) or totals only "
+                           "(analytical); the figures are identical")
     _add_cache_arguments(figs)
     _add_checkpoint_arguments(figs)
     figs.set_defaults(func=cmd_figures)
@@ -1233,7 +1123,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="emit every study as one versioned JSON envelope")
     rep.add_argument("--mode", choices=("simulated", "analytical"),
                      default="simulated",
-                     help="execution backend for the performance studies")
+                     help="records (simulated) or totals only "
+                          "(analytical); the studies are identical")
     _add_cache_arguments(rep)
     _add_checkpoint_arguments(rep)
     rep.set_defaults(func=cmd_report)
@@ -1361,7 +1252,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="sweep executor width on the daemon")
     jsubmit.add_argument("--mode", choices=("simulated", "analytical"),
                          default="simulated",
-                         help="execution backend for the sweep points")
+                         help="records (simulated) or totals only "
+                              "(analytical) for the sweep points")
     jsubmit.add_argument("--kernel", default="",
                          help="restrict a kernel study to one suite "
                               "name or kernel:<hash> reference")
@@ -1411,20 +1303,6 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--apps", action="store_true",
                      help="include application simulations (slower)")
     val.set_defaults(func=cmd_validate)
-
-    vmodel = sub.add_parser(
-        "validate-model",
-        help="check the analytical model against the simulator "
-             "point-by-point (exit 1 if the error bound is exceeded)",
-    )
-    vmodel.add_argument("--out", metavar="PATH",
-                        help="also write the full per-point JSON report")
-    vmodel.add_argument("--bound", type=float, default=None,
-                        help="override the recorded max-rel-error bound")
-    vmodel.add_argument("--json", action="store_true",
-                        help="emit the summary as a versioned JSON envelope")
-    _add_cache_arguments(vmodel)
-    vmodel.set_defaults(func=cmd_validate_model)
 
     export = sub.add_parser(
         "export", help="write every figure/table as CSV"

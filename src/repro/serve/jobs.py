@@ -32,6 +32,12 @@ under the job directory)::
        └─────────────────> cancelled
 
     (restart: running ──> queued, points replay as memo hits)
+
+Every state change goes through :meth:`JobManager._transition`, under
+the manager's lock and against :data:`TRANSITIONS`: a terminal state is
+final, so a cancel racing the runner ends a job — its ``job_end``
+event, its ``serve.jobs.<state>`` count, its scheduler removal —
+exactly once.
 """
 
 from __future__ import annotations
@@ -63,6 +69,13 @@ __all__ = [
 
 #: Bump when the persisted job layout changes (old files are skipped).
 STORE_SCHEMA_VERSION = 1
+
+#: Legal state changes.  Terminal states have no entry: they are final.
+TRANSITIONS: Dict[str, Tuple[str, ...]] = {
+    "queued": ("running", "cancelled"),
+    "running": ("queued", "done", "failed", "cancelled"),
+}
+TERMINAL_STATES = ("done", "failed", "cancelled")
 
 
 def count_sweep_points(sweep: SweepRequest) -> int:
@@ -260,6 +273,12 @@ class JobManager:
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._checkpoint_ready = False
+        #: Test hook, like :func:`repro.resilience.faults.fault_point`:
+        #: when set, the runner calls ``runner_gate(site, record)`` at
+        #: ``"advance"`` (a picked job, before its quantum) and
+        #: ``"point"`` (before running one point), so a test can hold
+        #: the runner there and force an interleaving.
+        self.runner_gate: Optional[Callable[[str, JobRecord], None]] = None
 
     # --- lifecycle ------------------------------------------------------
 
@@ -272,9 +291,9 @@ class JobManager:
                 self._seq = max(self._seq, record.seq + 1)
                 self._jobs[record.job_id] = record
             if record.state in ("queued", "running"):
-                record.state = "queued"
                 record.points_done = 0
-                self.store.save(record)
+                if not self._transition(record, "queued"):
+                    self.store.save(record)  # it was already queued
                 weight = self._weight(record.tenant)
                 self._scheduler.enqueue(record.tenant, weight, record.job_id)
                 restored += 1
@@ -348,15 +367,15 @@ class JobManager:
         if record is None:
             return False, "not_found"
         with self._lock:
-            if record.state in ("done", "failed", "cancelled"):
+            if record.state in TERMINAL_STATES:
                 return False, "conflict"
             record.cancel.set()
+            # A queued job cancels immediately (the runner may be
+            # blocked on another tenant's long point; don't make the
+            # caller wait).  A running one ends at its next quantum.
+            if record.state == "queued":
+                self._transition(record, "cancelled")
         self._wake.set()
-        # A queued job cancels immediately (the runner may be blocked
-        # on another tenant's long point; don't make the caller wait).
-        if record.state == "queued":
-            self._finalize(record, "cancelled")
-            self._scheduler.finish(record.tenant, record.job_id)
         return True, ""
 
     def stats(self) -> Dict[str, Any]:
@@ -377,56 +396,44 @@ class JobManager:
                 continue
             tenant_name, job_id = picked
             record = self.get(job_id)
-            if record is None or record.state in (
-                "done", "failed", "cancelled"
-            ):
+            if record is None:
                 self._scheduler.finish(tenant_name, job_id)
                 continue
+            if record.state in TERMINAL_STATES:
+                continue  # its terminal transition already dequeued it
+            self._gate("advance", record)
             try:
-                finished = self._advance(record)
+                self._advance(record)
             except (KeyboardInterrupt, SystemExit):
                 raise
             except Exception as exc:  # runner must survive any job bug
-                self._finalize(
+                self._transition(
                     record, "failed",
                     error=f"{type(exc).__name__}: {exc}",
                 )
-                finished = True
-            if finished:
-                self._scheduler.finish(tenant_name, job_id)
 
     def _advance(self, record: JobRecord) -> bool:
         """Run one scheduling quantum of ``record``: its state
         transition, one point, or the final assembly.  Returns ``True``
         once the job left the queue."""
         if record.cancel.is_set():
-            self._finalize(record, "cancelled")
+            self._transition(record, "cancelled")
             return True
         if record.state == "queued":
             self._ensure_checkpoint()
-            record.state = "running"
-            record._started_monotonic = self._clock()
-            submitted = record._submitted_monotonic
-            if submitted is not None:
-                record.queue_wait_s = max(
-                    0.0, record._started_monotonic - submitted
-                )
-                if self.metrics is not None:
-                    self.metrics.histogram(
-                        "serve.jobs.queue_wait_seconds"
-                    ).observe(record.queue_wait_s)
-            self.store.save(record)
-            self._publish("job_state", record, state="running")
+            if not self._transition(record, "running"):
+                return True
             record.pending = deque(self._points_for(record.sweep))
             return False
         if record.pending:
             point = record.pending.popleft()
+            self._gate("point", record)
             ok, error = self._run_point(record, point)
             if record.cancel.is_set():
-                self._finalize(record, "cancelled")
+                self._transition(record, "cancelled")
                 return True
             if not ok:
-                self._finalize(record, "failed", error=error)
+                self._transition(record, "failed", error=error)
                 return True
             record.points_done += 1
             self._count("serve.jobs.points")
@@ -446,42 +453,74 @@ class JobManager:
             try:
                 result = self._run_assemble(record.sweep)
             except ApiError as exc:
-                self._finalize(record, "failed", error=str(exc))
+                self._transition(record, "failed", error=str(exc))
                 return True
             except (KeyboardInterrupt, SystemExit):
                 raise
             except Exception as exc:
-                self._finalize(
+                self._transition(
                     record, "failed",
                     error=f"{type(exc).__name__}: {exc}",
                 )
                 return True
-        record.result = result.to_dict()
-        record.points_done = record.points_total
-        self._finalize(record, "done")
+        self._transition(record, "done", result=result.to_dict())
         return True
 
-    def _finalize(
-        self, record: JobRecord, state: str, error: str = ""
-    ) -> None:
-        record.state = state
-        record.error = error
-        if record._started_monotonic:
-            record.run_s = max(
-                0.0, self._clock() - record._started_monotonic
+    def _transition(
+        self, record: JobRecord, state: str, error: str = "",
+        result: Optional[Dict[str, Any]] = None,
+    ) -> bool:
+        """Move ``record`` to ``state`` if :data:`TRANSITIONS` allows it.
+
+        Returns ``False`` (and changes nothing) otherwise.  The check,
+        the change, its persistence and its events happen under the
+        lock, so concurrent callers see one order and a job reaches a
+        terminal state — and emits its end events — exactly once.
+        """
+        with self._lock:
+            if state not in TRANSITIONS.get(record.state, ()):
+                return False
+            record.state = state
+            if state == "running":
+                record._started_monotonic = self._clock()
+                submitted = record._submitted_monotonic
+                if submitted is not None:
+                    record.queue_wait_s = max(
+                        0.0, record._started_monotonic - submitted
+                    )
+                    if self.metrics is not None:
+                        self.metrics.histogram(
+                            "serve.jobs.queue_wait_seconds"
+                        ).observe(record.queue_wait_s)
+            if state in TERMINAL_STATES:
+                record.error = error
+                if result is not None:
+                    record.result = result
+                    record.points_done = record.points_total
+                if record._started_monotonic:
+                    record.run_s = max(
+                        0.0, self._clock() - record._started_monotonic
+                    )
+            self.store.save(record)
+            self._publish("job_state", record, state=state)
+            if state not in TERMINAL_STATES:
+                return True
+            self._scheduler.finish(record.tenant, record.job_id)
+            self._count(f"serve.jobs.{state}")
+            self._publish(
+                "job_end", record, state=state,
+                **({"error": error} if error else {}),
             )
-        self.store.save(record)
-        self._count(f"serve.jobs.{state}")
-        self._publish("job_state", record, state=state)
-        self._publish(
-            "job_end", record, state=state,
-            **({"error": error} if error else {}),
-        )
-        log_event(
-            self._log, "jobs.finished",
-            job_id=record.job_id, tenant=record.tenant, state=state,
-            points=record.points_done, error=error or None,
-        )
+            log_event(
+                self._log, "jobs.finished",
+                job_id=record.job_id, tenant=record.tenant, state=state,
+                points=record.points_done, error=error or None,
+            )
+            return True
+
+    def _gate(self, site: str, record: JobRecord) -> None:
+        if self.runner_gate is not None:
+            self.runner_gate(site, record)
 
     # --- execution plumbing ---------------------------------------------
 

@@ -1,31 +1,27 @@
 """Stream-processor application simulator (the C++ simulator substitute)."""
 
-from .cluster import ClusterArray, KernelRun
-from .events import DEFAULT_MAX_EVENTS, EventQueue
-from .host import Host
-from .memory import AccessPattern, MemorySystem, Transfer
+from .engine import (
+    DEFAULT_MAX_EVENTS,
+    CapacityError,
+    ProgramSummary,
+    Recorder,
+    build_summary,
+)
 from .metrics import BandwidthReport, OpRecord, SimulationResult
 from .partitioned import PartitionedRun, simulate_partitioned
 from .processor import StreamProcessor, simulate
-from .srf import CapacityError, Eviction, SRFAllocator
 
 __all__ = [
-    "AccessPattern",
     "BandwidthReport",
     "CapacityError",
-    "ClusterArray",
     "DEFAULT_MAX_EVENTS",
-    "EventQueue",
-    "Eviction",
-    "Host",
-    "KernelRun",
-    "MemorySystem",
     "OpRecord",
     "PartitionedRun",
-    "SRFAllocator",
+    "ProgramSummary",
+    "Recorder",
     "SimulationResult",
     "StreamProcessor",
-    "Transfer",
+    "build_summary",
     "simulate",
     "simulate_partitioned",
 ]

@@ -173,15 +173,6 @@ class TestAnalyticalMode:
         # Identical study payloads; the mode only shows up in meta.
         assert analytical["data"] == simulated["data"]
         assert analytical["meta"]["mode"] == "analytical"
-        assert "model_error" in analytical["meta"]
-
-    def test_validate_model_json(self, capsys):
-        assert main(["validate-model", "--json"]) == 0
-        envelope = _envelope(capsys)
-        assert envelope["kind"] == "validate-model"
-        assert envelope["data"]["passed"] is True
-        assert envelope["data"]["max_rel_error"] <= envelope["data"]["bound"]
-        assert "points" not in envelope["data"]  # summary only
 
 
 class TestNewerCommands:

@@ -715,13 +715,15 @@ class TestApiSurface:
         with pytest.raises(ApiError, match="register it first"):
             validate_request(SweepRequest("fig13", kernel=missing))
 
-    def test_simulating_a_reference_needs_simulated_mode(self, registry):
-        from repro.api import ApiError, SimulateRequest, validate_request
+    def test_simulating_a_reference_in_either_mode(self, registry):
+        from repro.api import SimulateRequest, run_simulate
 
         ref = registry.register(saxpy_document()).ref
-        validate_request(SimulateRequest(ref, 8, 5))
-        with pytest.raises(ApiError, match="analytical"):
-            validate_request(SimulateRequest(ref, 8, 5, mode="analytical"))
+        simulated = run_simulate(SimulateRequest(ref, 8, 5))
+        analytical = run_simulate(
+            SimulateRequest(ref, 8, 5, mode="analytical")
+        )
+        assert analytical.to_json() == simulated.to_json()
 
     def test_sweep_kernel_field_validation(self, registry):
         from repro.api import ApiError, SweepRequest, validate_request
@@ -815,12 +817,17 @@ class TestCli:
         assert main(["simulate", "--kernel-file", str(path)]) == 0
         assert "cycles" in capsys.readouterr().out
 
-    def test_simulate_reference_rejects_analytical(self, registry, capsys):
+    def test_simulate_reference_in_analytical_mode(self, registry, capsys):
         from repro.cli import main
 
         ref = registry.register(saxpy_document()).ref
-        assert main(["simulate", ref, "--mode", "analytical"]) == 2
-        assert "simulated" in capsys.readouterr().err
+        assert main(["simulate", ref]) == 0
+        simulated = capsys.readouterr().out
+        assert main(["simulate", ref, "--mode", "analytical"]) == 0
+        analytical = capsys.readouterr().out
+        cycles = [line for line in simulated.splitlines()
+                  if "cycles:" in line]
+        assert cycles and all(line in analytical for line in cycles)
 
     def test_simulate_requires_a_target(self, registry, capsys):
         from repro.cli import main

@@ -20,7 +20,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.sweep import clear_sweep_cache
-from repro.api import SweepRequest, execute
+from repro.api import SweepRequest, dedup_key, execute
+from repro.cluster.coordinator import expand_sweep_points
 from repro.frontend import document_from_graph
 from repro.frontend.registry import configure_default_registry
 from repro.kernels.suite import get_kernel
@@ -184,10 +185,25 @@ class TestFleetIdentity:
                     ref = client.register_kernel(fft_document()).data["ref"]
                     by_ref = client.sweep("fig13", kernel=ref)
                     assert by_ref.status == 200
-                    stats = server.coordinator.membership.stats()
-                    assert all(
-                        w["points_ok"] > 0 for w in stats["workers"]
-                    ), "sweep did not shard across both workers"
+                    # Every point went to its ring owner.  (Which worker
+                    # owns which of the four points depends on the
+                    # workers' ephemeral ports, so both need not get
+                    # one.)
+                    membership = server.coordinator.membership
+                    alive = membership.alive()
+                    expected = {worker: 0 for worker in alive}
+                    for point in expand_sweep_points(
+                        SweepRequest("fig13", kernel=ref)
+                    ):
+                        owner = membership.ring.owner(
+                            dedup_key(point), alive
+                        )
+                        expected[owner] += 1
+                    served = {
+                        w["worker_id"]: w["points_ok"]
+                        for w in membership.stats()["workers"]
+                    }
+                    assert served == expected, "points missed their owners"
                 oracle = execute(
                     SweepRequest("fig13", kernel="fft")
                 ).to_json()

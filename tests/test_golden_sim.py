@@ -38,7 +38,7 @@ from repro.kernels.suite import PERFORMANCE_SUITE, get_kernel
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.sim import simulate, simulate_partitioned
-from repro.sim.cluster import ClusterArray
+from repro.sim.engine import MicrocodeStore, kernel_call_cycles
 
 GOLDEN = Path(__file__).parent / "data" / "golden_sim.json"
 
@@ -110,10 +110,12 @@ def application_points() -> dict:
     }
 
 
-def kernel_call_cycles(schedule, work_items: int) -> int:
+def first_call_cycles(schedule, work_items: int) -> int:
     """Cycles of one call on a fresh cluster array (microcode load
     included)."""
-    return ClusterArray(schedule.config).run(schedule, work_items, 0).cycles
+    store = MicrocodeStore(int(schedule.config.params.r_uc))
+    reload = store.load(schedule.kernel_name, schedule.instruction_count)
+    return reload + kernel_call_cycles(schedule, work_items)
 
 
 def kernel_call_points() -> dict:
@@ -125,7 +127,7 @@ def kernel_call_points() -> dict:
                     get_kernel(kernel), ProcessorConfig(c, n)
                 )
                 for items in KERNEL_WORK_ITEMS:
-                    points[f"{kernel}@{c}x{n}/{items}"] = kernel_call_cycles(
+                    points[f"{kernel}@{c}x{n}/{items}"] = first_call_cycles(
                         schedule, items
                     )
     return points

@@ -36,6 +36,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import JobRequest, SweepRequest, SweepResult, execute
+from repro.obs.metrics import MetricsRegistry
 from repro.serve import ReproServer, ServeClient, ServerConfig
 from repro.serve.jobs import JobManager, JobRecord, JobStore
 from repro.serve.tenancy import (
@@ -260,6 +261,34 @@ def _quantum(manager):
     return True
 
 
+class RecordingBus:
+    """A progress bus that keeps every published event."""
+
+    def __init__(self):
+        self.events = []
+
+    def publish(self, event, **fields):
+        self.events.append((event, fields))
+
+    def names(self):
+        return [event for event, _ in self.events]
+
+
+class RunnerGate:
+    """A ``JobManager.runner_gate`` that holds the runner at one site
+    until the test releases it."""
+
+    def __init__(self, site):
+        self.site = site
+        self.reached = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self, site, record):
+        if site == self.site and not self.reached.is_set():
+            self.reached.set()
+            self.release.wait(10)
+
+
 def _submit(manager, tenant, target="fig13", kernel="fft",
             mode="simulated"):
     sweep = SweepRequest(target, mode=mode, kernel=kernel)
@@ -321,6 +350,99 @@ class TestJobManagerStateMachine:
         _quantum(manager)
         assert record.state == "cancelled"
         assert 0 < record.points_done < record.points_total
+
+    def test_cancel_racing_the_runner_ends_the_job_once(self):
+        """The runner picks a queued job, a cancel lands, then the
+        runner advances the job it picked: one end, counted once."""
+        bus = RecordingBus()
+        metrics = MetricsRegistry()
+        manager = _make_manager(bus=bus, metrics=metrics)
+        record = _submit(manager, manager.registry.public)
+        _, job_id = manager._scheduler.next()
+        assert manager.get(job_id).state == "queued"
+        assert manager.cancel(job_id) == (True, "")
+        assert manager._advance(record)
+        assert record.state == "cancelled"
+        assert bus.names().count("job_end") == 1
+        assert metrics.snapshot()["serve.jobs.cancelled"] == 1
+
+    def test_runner_gate_forces_cancel_between_pick_and_advance(self):
+        """Hold the real runner thread after it picked the job; cancel;
+        release.  The job ends once and leaves the scheduler once."""
+        bus = RecordingBus()
+        metrics = MetricsRegistry()
+        manager = _make_manager(bus=bus, metrics=metrics)
+        finishes = []
+        finish = manager._scheduler.finish
+        manager._scheduler.finish = lambda tenant, job_id: (
+            finishes.append(job_id), finish(tenant, job_id)
+        )
+        gate = RunnerGate("advance")
+        manager.runner_gate = gate
+        record = _submit(manager, manager.registry.public)
+        manager.start()
+        try:
+            assert gate.reached.wait(10), "runner never reached the gate"
+            assert manager.cancel(record.job_id) == (True, "")
+        finally:
+            gate.release.set()
+            manager.stop()
+        assert record.state == "cancelled"
+        assert bus.names().count("job_end") == 1
+        assert metrics.snapshot()["serve.jobs.cancelled"] == 1
+        assert finishes == [record.job_id]
+
+    def test_concurrent_cancels_end_each_job_once(self):
+        """Stress: more cancelling threads than cores against a live
+        runner, with a tiny switch interval.  Whatever wins each race,
+        every job ends exactly once."""
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            bus = RecordingBus()
+            metrics = MetricsRegistry()
+            manager = _make_manager(bus=bus, metrics=metrics)
+            records = [
+                _submit(manager, manager.registry.public) for _ in range(6)
+            ]
+            manager.start()
+            threads = [
+                threading.Thread(
+                    target=lambda r=record: [
+                        manager.cancel(r.job_id) for _ in range(3)
+                    ]
+                )
+                for record in records for _ in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+                assert not thread.is_alive()
+            deadline = time.monotonic() + 30
+            while any(r.state not in ("done", "cancelled") for r in records):
+                assert time.monotonic() < deadline, "jobs never ended"
+                time.sleep(0.01)
+            manager.stop()
+        finally:
+            sys.setswitchinterval(previous)
+        ends = [f["job_id"] for e, f in bus.events if e == "job_end"]
+        assert sorted(ends) == sorted(r.job_id for r in records)
+        snapshot = metrics.snapshot()
+        ended = sum(
+            snapshot[name] for name in
+            ("serve.jobs.done", "serve.jobs.cancelled") if name in snapshot
+        )
+        assert ended == len(records)
+        assert manager._scheduler.pending() == 0
+
+    def test_terminal_states_are_final(self):
+        manager = _make_manager()
+        record = _submit(manager, manager.registry.public)
+        assert manager._transition(record, "cancelled")
+        for state in ("queued", "running", "done", "failed", "cancelled"):
+            assert not manager._transition(record, state)
+        assert record.state == "cancelled"
 
     def test_analytical_jobs_skip_the_point_walk(self):
         manager = _make_manager()
@@ -543,10 +665,18 @@ class TestJobRoutesOpenMode:
 
     def test_cancel_then_cancel_again_conflicts(self, no_checkpoint):
         with running_server() as server:
+            # Hold the runner before the job's first point, so the
+            # cancel always lands while the job is live.
+            gate = RunnerGate("point")
+            server.jobs.runner_gate = gate
             with ServeClient("127.0.0.1", server.port) as client:
                 submitted = client.submit_job("table5", kernel="fft")
                 job_id = submitted.data["job_id"]
-                first = client.cancel_job(job_id)
+                try:
+                    assert gate.reached.wait(30), "runner never started"
+                    first = client.cancel_job(job_id)
+                finally:
+                    gate.release.set()
                 assert first.status == 200
                 final = client.wait_job(job_id, timeout_s=30)
                 assert final.data["state"] == "cancelled"

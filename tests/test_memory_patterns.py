@@ -8,7 +8,7 @@ from repro.core.config import BASELINE_CONFIG
 from repro.core.params import TECH_45NM
 from repro.isa.values import AccessPattern
 from repro.kernels import get_kernel
-from repro.sim.memory import MemorySystem
+from repro.sim.engine import memory_service_cycles, memory_words_per_cycle
 from repro.sim.processor import simulate
 
 
@@ -24,25 +24,27 @@ class TestAccessPattern:
         assert AccessPattern.SEQUENTIAL.efficiency == 1.0
 
 
+WORDS_PER_CYCLE = memory_words_per_cycle(BASELINE_CONFIG, TECH_45NM, 1.0)
+
+
 class TestDeratedTransfers:
     def test_strided_transfer_takes_longer(self):
-        mem = MemorySystem(BASELINE_CONFIG, TECH_45NM)
-        seq = mem.transfer(4000, 0, AccessPattern.SEQUENTIAL)
-        mem2 = MemorySystem(BASELINE_CONFIG, TECH_45NM)
-        strided = mem2.transfer(4000, 0, AccessPattern.STRIDED)
-        assert strided.bandwidth_done > seq.bandwidth_done
+        seq = memory_service_cycles(
+            4000, WORDS_PER_CYCLE, AccessPattern.SEQUENTIAL.efficiency
+        )
+        strided = memory_service_cycles(
+            4000, WORDS_PER_CYCLE, AccessPattern.STRIDED.efficiency
+        )
+        assert strided > seq
 
     def test_indexed_much_slower(self):
-        mem = MemorySystem(BASELINE_CONFIG, TECH_45NM)
-        indexed = mem.transfer(4000, 0, AccessPattern.INDEXED)
-        assert indexed.bandwidth_done == pytest.approx(
-            4000 / (4.0 * 0.40), rel=0.01
+        indexed = memory_service_cycles(
+            4000, WORDS_PER_CYCLE, AccessPattern.INDEXED.efficiency
         )
+        assert indexed == pytest.approx(4000 / (4.0 * 0.40), rel=0.01)
 
     def test_default_is_sequential(self):
-        mem = MemorySystem(BASELINE_CONFIG, TECH_45NM)
-        t = mem.transfer(4000, 0)
-        assert t.bandwidth_done == 1000
+        assert memory_service_cycles(4000, WORDS_PER_CYCLE) == 1000
 
 
 class TestProgramLevel:

@@ -1,11 +1,12 @@
-"""Tests for the closed-form analytical model (repro.analysis.model).
+"""Tests for the totals-only entry points (repro.analysis.model).
 
-The model's contract is *exactness*: on the covered fleet it must
-reproduce the cycle-accurate simulator's totals field for field — not
-approximately, identically.  These tests pin that contract on every
-regime the simulator exercises: fast-path programs (SRF never
-pressured), heavy spill/reload traffic, microcode-store overflow, and
-the kernel-level closed form at short and long stream lengths.
+Both modes run one timing engine; these tests pin that the totals-only
+path (summaries and tables cached across a grid, no recorder) reports
+exactly what a recorded :func:`simulate` run reports — field for field
+— on every regime: spill-free programs, heavy spill/reload traffic,
+microcode-store overflow, non-default clocks, and the kernel-call
+closed form at short and long stream lengths.  The values themselves
+are pinned by ``tests/test_golden_sim.py``.
 """
 
 import dataclasses
@@ -22,20 +23,27 @@ from repro.analysis.model import (
     predict_program,
     program_summary,
 )
-from repro.analysis.validate_model import (
-    MODEL_ERROR_BOUND,
-    build_report,
-    error_summary,
-    recorded_report,
-    render_report,
-)
+from repro.apps.streamc import StreamProgram
 from repro.apps.suite import APPLICATION_ORDER, get_application
 from repro.compiler.pipeline import compile_kernel
 from repro.core.config import ProcessorConfig
 from repro.core.params import IMAGINE_PARAMETERS
 from repro.kernels.suite import PERFORMANCE_SUITE, get_kernel
-from repro.sim.cluster import ClusterArray
+from repro.sim.engine import config_tables
 from repro.sim.processor import simulate
+
+
+def calls_program(kernel: str, work_items: int, calls: int) -> StreamProgram:
+    """load -> ``calls`` chained calls of ``kernel`` -> store."""
+    p = StreamProgram("calls")
+    stream = p.stream("raw", elements=work_items, in_memory=True)
+    p.load(stream)
+    for i in range(calls):
+        nxt = p.stream(f"s{i}", elements=work_items)
+        p.kernel(get_kernel(kernel), [stream], [nxt], work_items)
+        stream = nxt
+    p.store(stream)
+    return p
 
 
 def assert_exact(result, expected) -> None:
@@ -113,23 +121,28 @@ class TestKernelClosedForm:
     @pytest.mark.parametrize("kernel", PERFORMANCE_SUITE)
     @pytest.mark.parametrize("work_items", [64, 1024, 8192])
     def test_call_cycles_exact(self, kernel, work_items):
+        """The public closed form is the duration the walk charges a
+        first (microcode-loading) call."""
         config = ProcessorConfig(8, 5)
         schedule = compile_kernel(get_kernel(kernel), config)
-        run = ClusterArray(config).run(schedule, work_items, 0)
+        tables = config_tables(
+            build_summary(calls_program(kernel, work_items, 1)), config
+        )
         assert predict_kernel_call_cycles(
             schedule, work_items, ucode_reload=True
-        ) == run.cycles
+        ) == tables.durations[1]
 
     def test_warm_call_skips_reload(self):
-        """Second invocation of a resident kernel: no microcode reload
-        on either side."""
+        """Second invocation of a resident kernel: no microcode reload."""
         config = ProcessorConfig(8, 5)
         schedule = compile_kernel(get_kernel("fft"), config)
-        array = ClusterArray(config)
-        array.run(schedule, 1024, 0)
-        warm = array.run(schedule, 1024, 0)
-        assert warm.ucode_reload_cycles == 0
-        assert predict_kernel_call_cycles(schedule, 1024) == warm.cycles
+        tables = config_tables(
+            build_summary(calls_program("fft", 1024, 2)), config
+        )
+        assert tables.reload_cycles[2] == 0
+        assert predict_kernel_call_cycles(schedule, 1024) == (
+            tables.durations[2]
+        )
 
 
 class TestSummaryCaching:
@@ -169,27 +182,3 @@ class TestModeValidation:
         from repro.api import SWEEP_MODES
 
         assert SWEEP_MODES == EXECUTION_MODES
-
-
-class TestValidationHarness:
-    def test_small_grid_report_passes(self):
-        report = build_report(bound=MODEL_ERROR_BOUND)
-        assert report["passed"]
-        assert report["max_rel_error"] <= MODEL_ERROR_BOUND
-        assert report["grid"]["total"] == (
-            report["grid"]["applications"] + report["grid"]["kernels"]
-        )
-        assert len(report["points"]) == report["grid"]["total"]
-        summary = error_summary(report)
-        assert "PASS" in summary
-        rendered = render_report(report)
-        assert summary in rendered
-
-    def test_recorded_report_ships_and_passes(self):
-        """The committed trajectory point next to the module must load,
-        pass, and carry the documented bound."""
-        report = recorded_report()
-        assert report is not None
-        assert report["passed"]
-        assert report["bound"] == MODEL_ERROR_BOUND
-        assert report["max_rel_error"] <= report["bound"]

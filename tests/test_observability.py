@@ -19,7 +19,7 @@ from repro.obs import (
 )
 from repro.obs.manifest import ManifestError
 from repro.obs.tracer import NULL_TRACER
-from repro.sim import EventQueue, simulate, simulate_partitioned
+from repro.sim import simulate, simulate_partitioned
 from repro.sim.metrics import BandwidthReport, SimulationResult
 
 CONFIG = ProcessorConfig(8, 5)
@@ -198,19 +198,18 @@ class TestMetricsRegistry:
 
 
 class TestEventQueue:
+    """Completions replay through the recorder: one event per op."""
+
     def test_livelock_error_is_diagnostic(self):
-        queue = EventQueue()
-
-        def reschedule():
-            queue.schedule(queue.now + 1, reschedule)
-
-        queue.schedule(0, reschedule)
+        program = get_application("conv")
+        assert len(program.ops) > 25
         with pytest.raises(RuntimeError) as excinfo:
-            queue.run(max_events=25)
+            simulate(program, CONFIG, max_events=25)
         message = str(excinfo.value)
         assert "25" in message            # the budget
         assert "cycle" in message         # current time
-        assert "pending" in message       # heap size
+        assert "pending" in message       # remaining completions
+        assert f"{len(program.ops) - 26} events still pending" in message
 
     def test_max_events_configurable_from_simulate(self):
         with pytest.raises(RuntimeError, match="livelock"):
@@ -223,12 +222,11 @@ class TestEventQueue:
 
     def test_traces_labelled_events(self):
         tracer = Tracer()
-        queue = EventQueue(tracer=tracer)
-        queue.schedule(5, lambda: None, label="tick")
-        queue.schedule(6, lambda: None)  # unlabelled: not traced
-        queue.run()
-        assert [s.label for s in tracer.instants] == ["tick"]
-        assert queue.processed == 2
+        result = simulate(get_application("fft1k"), CONFIG, tracer=tracer)
+        assert {s.resource for s in tracer.instants} == {"events"}
+        assert sorted(s.label for s in tracer.instants) == sorted(
+            f"complete {r.label}" for r in result.records
+        )
 
 
 class TestPhaseProfiler:

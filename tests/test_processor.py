@@ -6,7 +6,7 @@ from repro.apps.streamc import StreamProgram
 from repro.compiler.pipeline import compile_kernel
 from repro.core.config import BASELINE_CONFIG, ProcessorConfig
 from repro.kernels import get_kernel
-from repro.sim.cluster import DISPATCH_CYCLES
+from repro.sim.engine import DISPATCH_CYCLES, SCOREBOARD_DEPTH
 from repro.sim.processor import StreamProcessor, simulate
 
 
@@ -163,8 +163,6 @@ class TestScoreboard:
         of op k is gated by the completion of op k - depth: the last
         op's start time grows with the chain, not just with the issue
         rate."""
-        from repro.sim.host import SCOREBOARD_DEPTH
-
         chain_length = SCOREBOARD_DEPTH + 8
         p = StreamProgram("deepchain")
         stream = p.stream("seed", elements=8000, in_memory=True)

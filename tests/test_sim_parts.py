@@ -1,230 +1,310 @@
-"""Tests for the simulator building blocks: events, memory, host,
-clusters, streambuffer allocation."""
+"""Tests for the timing engine's parts: completion replay, memory pipe,
+host channel and scoreboard, cluster array and microcode store, and
+SRF stream allocation."""
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.apps.streamc import Stream
+from repro.apps.streamc import StreamProgram
 from repro.compiler.pipeline import compile_kernel
 from repro.core.config import BASELINE_CONFIG, ProcessorConfig
-from repro.core.params import TECH_45NM
+from repro.core.params import IMAGINE_PARAMETERS, TECH_45NM
 from repro.kernels import get_kernel
-from repro.sim.cluster import DISPATCH_CYCLES, ClusterArray
-from repro.sim.events import EventQueue
-from repro.sim.host import Host
-from repro.sim.memory import MemorySystem
-from repro.sim.srf import CapacityError, SRFAllocator
+from repro.obs.tracer import Tracer
+from repro.sim.engine import (
+    DISPATCH_CYCLES,
+    SCOREBOARD_DEPTH,
+    CapacityError,
+    MicrocodeStore,
+    SRFState,
+    build_summary,
+    completion_order,
+    config_tables,
+    host_cycles_per_instruction,
+    kernel_call_cycles,
+    memory_service_cycles,
+    memory_words_per_cycle,
+)
+from repro.sim.metrics import OpRecord
+from repro.sim.processor import simulate
+
+
+def loads_program(*sizes: int) -> StreamProgram:
+    """Independent loads of the given word counts."""
+    p = StreamProgram("loads")
+    for i, words in enumerate(sizes):
+        p.load(p.stream(f"in{i}", elements=words, in_memory=True))
+    return p
+
+
+def traced(program, config=BASELINE_CONFIG):
+    tracer = Tracer()
+    result = simulate(program, config, tracer=tracer)
+    return result, tracer
+
+
+def lane(tracer: Tracer, resource: str):
+    return [s for s in tracer.spans if s.resource == resource]
+
+
+def record(index: int, finish: int) -> OpRecord:
+    return OpRecord(index, "LoadOp", f"op{index}", 0, finish)
 
 
 class TestEventQueue:
+    """Completions replay into the tracer as a sort over the records."""
+
     def test_runs_in_time_order(self):
-        q = EventQueue()
-        log = []
-        q.schedule(5, lambda: log.append("b"))
-        q.schedule(1, lambda: log.append("a"))
-        q.schedule(9, lambda: log.append("c"))
-        assert q.run() == 9
-        assert log == ["a", "b", "c"]
+        order = completion_order([record(0, 5), record(1, 1), record(2, 9)])
+        assert [r.index for r in order] == [1, 0, 2]
 
     def test_fifo_at_equal_times(self):
-        q = EventQueue()
-        log = []
-        q.schedule(3, lambda: log.append(1))
-        q.schedule(3, lambda: log.append(2))
-        q.run()
-        assert log == [1, 2]
+        order = completion_order([record(0, 3), record(1, 3)])
+        assert [r.index for r in order] == [0, 1]
 
-    def test_rejects_past_events(self):
-        q = EventQueue()
-        q.schedule(10, lambda: q.schedule(5, lambda: None))
-        with pytest.raises(ValueError):
-            q.run()
-
-    def test_events_can_spawn_events(self):
-        q = EventQueue()
-        log = []
-        q.schedule(1, lambda: q.schedule(2, lambda: log.append("x")))
-        q.run()
-        assert log == ["x"]
+    def test_replay_follows_completion_order(self):
+        result, tracer = traced(loads_program(40_000, 4))
+        times = [s.start for s in tracer.instants]
+        assert times == sorted(r.finish for r in result.records)
 
 
 class TestMemorySystem:
     def test_bandwidth(self):
         """16 GB/s at 1 GHz and 4-byte words = 4 words per cycle."""
-        mem = MemorySystem(BASELINE_CONFIG, TECH_45NM, clock_ghz=1.0)
-        assert mem.words_per_cycle == pytest.approx(4.0)
-        assert mem.latency == 55
+        assert memory_words_per_cycle(
+            BASELINE_CONFIG, TECH_45NM, 1.0
+        ) == pytest.approx(4.0)
+        assert int(BASELINE_CONFIG.params.t_mem) == 55
 
     def test_transfer_timing(self):
-        mem = MemorySystem(BASELINE_CONFIG, TECH_45NM)
-        t = mem.transfer(4000, earliest=100)
-        assert t.start == 100
-        assert t.bandwidth_done == 100 + 1000
-        assert t.data_ready == 100 + 1000 + 55
+        assert memory_service_cycles(4000, 4.0) == 1000
+        result, tracer = traced(loads_program(4000))
+        (span,) = lane(tracer, "memory")
+        issued = host_cycles_per_instruction(TECH_45NM, 1.0)
+        assert (span.start, span.finish) == (issued, issued + 1000)
+        assert result.records[0].finish == issued + 1000 + 55
 
     def test_transfers_serialize_on_the_pipe(self):
-        mem = MemorySystem(BASELINE_CONFIG, TECH_45NM)
-        first = mem.transfer(400, earliest=0)
-        second = mem.transfer(400, earliest=0)
-        assert second.start == first.bandwidth_done
+        _, tracer = traced(loads_program(400, 400))
+        first, second = lane(tracer, "memory")
+        assert second.start == first.finish
 
     def test_pipe_idles_until_ready(self):
-        mem = MemorySystem(BASELINE_CONFIG, TECH_45NM)
-        mem.transfer(400, earliest=0)
-        late = mem.transfer(400, earliest=10_000)
-        assert late.start == 10_000
+        _, tracer = traced(loads_program(4, 4))
+        first, second = lane(tracer, "memory")
+        assert first.finish < second.start
+        assert second.start == dict(second.detail)["requested"]
 
     def test_utilization(self):
-        mem = MemorySystem(BASELINE_CONFIG, TECH_45NM)
-        mem.transfer(4000, earliest=0)
-        assert mem.utilization(2000) == pytest.approx(0.5)
+        result = simulate(loads_program(4000), BASELINE_CONFIG)
+        assert result.memory_busy_cycles == 1000
+        assert result.memory_utilization == pytest.approx(
+            1000 / result.cycles
+        )
 
     def test_rejects_negative(self):
-        mem = MemorySystem(BASELINE_CONFIG, TECH_45NM)
         with pytest.raises(ValueError):
-            mem.transfer(-1, 0)
+            memory_service_cycles(-1, 4.0)
 
-    @given(st.lists(st.integers(0, 10_000), min_size=1, max_size=30))
+    @given(st.lists(st.integers(1, 10_000), min_size=1, max_size=30))
     @settings(max_examples=30, deadline=None)
     def test_bandwidth_conservation(self, sizes):
         """Total busy time equals total words / bandwidth (rounded)."""
-        mem = MemorySystem(BASELINE_CONFIG, TECH_45NM)
-        for words in sizes:
-            mem.transfer(words, 0)
+        result = simulate(loads_program(*sizes), BASELINE_CONFIG)
         expected = sum(int(round(w / 4.0)) for w in sizes)
-        assert mem.busy_cycles == expected
+        assert result.memory_busy_cycles == expected
 
 
 class TestHost:
     def test_issue_rate(self):
         """64-byte stream instructions over 2 GB/s at 1 GHz: 32 cycles."""
-        host = Host(TECH_45NM)
-        assert host.cycles_per_instruction == 32
+        assert host_cycles_per_instruction(TECH_45NM, 1.0) == 32
 
     def test_serial_channel(self):
-        host = Host(TECH_45NM)
-        first = host.issue(0)
-        second = host.issue(0)
-        assert first == 32
-        assert second == 64
+        _, tracer = traced(loads_program(4, 4))
+        assert [(s.start, s.finish) for s in lane(tracer, "host")] == [
+            (0, 32), (32, 64),
+        ]
 
     def test_idle_channel_waits(self):
-        host = Host(TECH_45NM)
-        host.issue(0)
-        assert host.issue(1000) == 1032
-
-    def test_bad_scoreboard_rejected(self):
-        with pytest.raises(ValueError):
-            Host(TECH_45NM, scoreboard_depth=0)
+        """The scoreboard gate: op ``depth`` cannot issue before op 0
+        completes, so the channel idles until then."""
+        sizes = [40_000] + [4] * SCOREBOARD_DEPTH
+        result, tracer = traced(loads_program(*sizes))
+        gated = lane(tracer, "host")[SCOREBOARD_DEPTH]
+        assert gated.start == result.records[0].finish
+        assert gated.finish == result.records[0].finish + 32
 
 
 class TestClusterArray:
     def test_kernel_run_timing(self):
-        clusters = ClusterArray(BASELINE_CONFIG)
         schedule = compile_kernel(get_kernel("blocksad"), BASELINE_CONFIG)
-        run = clusters.run(schedule, work_items=800, earliest=50)
         # 800 items on 8 clusters = 100 iterations.
-        assert run.iterations == 100
-        expected = (
-            DISPATCH_CYCLES
-            + run.ucode_reload_cycles
-            + schedule.inner_loop_cycles(100)
+        assert kernel_call_cycles(schedule, 800) == (
+            DISPATCH_CYCLES + schedule.inner_loop_cycles(100)
         )
-        assert run.cycles == expected
-        assert run.start == 50
+        p = StreamProgram("one")
+        raw = p.stream("raw", elements=800, in_memory=True)
+        p.load(raw)
+        p.kernel(get_kernel("blocksad"), [raw],
+                 [p.stream("out", elements=800)], work_items=800)
+        _, tracer = traced(p)
+        (span,) = lane(tracer, "clusters")
+        assert span.cycles == (
+            kernel_call_cycles(schedule, 800) + schedule.instruction_count
+        )
+        assert dict(span.detail)["iterations"] == 100
 
     def test_serial_resource(self):
-        clusters = ClusterArray(BASELINE_CONFIG)
-        schedule = compile_kernel(get_kernel("noise"), BASELINE_CONFIG)
-        a = clusters.run(schedule, 80, 0)
-        b = clusters.run(schedule, 80, 0)
+        p = StreamProgram("two")
+        for i in range(2):
+            raw = p.stream(f"raw{i}", elements=80, in_memory=True)
+            p.load(raw)
+            p.kernel(get_kernel("noise"), [raw],
+                     [p.stream(f"out{i}", elements=80)], work_items=80)
+        _, tracer = traced(p)
+        a, b = lane(tracer, "clusters")
         assert b.start == a.finish
 
     def test_ucode_cached_after_first_run(self):
-        clusters = ClusterArray(BASELINE_CONFIG)
         schedule = compile_kernel(get_kernel("noise"), BASELINE_CONFIG)
-        first = clusters.run(schedule, 80, 0)
-        second = clusters.run(schedule, 80, 0)
-        assert first.ucode_reload_cycles > 0
-        assert second.ucode_reload_cycles == 0
+        store = MicrocodeStore(int(BASELINE_CONFIG.params.r_uc))
+        assert store.load("noise", schedule.instruction_count) > 0
+        assert store.load("noise", schedule.instruction_count) == 0
 
     def test_ragged_last_batch_rounds_up(self):
-        clusters = ClusterArray(BASELINE_CONFIG)
         schedule = compile_kernel(get_kernel("noise"), BASELINE_CONFIG)
-        run = clusters.run(schedule, work_items=9, earliest=0)
-        assert run.iterations == 2  # 9 items on 8 clusters
+        # 9 items on 8 clusters = 2 iterations.
+        assert kernel_call_cycles(schedule, 9) == (
+            DISPATCH_CYCLES + schedule.inner_loop_cycles(2)
+        )
 
     def test_rejects_empty_call(self):
-        clusters = ClusterArray(BASELINE_CONFIG)
         schedule = compile_kernel(get_kernel("noise"), BASELINE_CONFIG)
         with pytest.raises(ValueError):
-            clusters.run(schedule, 0, 0)
+            kernel_call_cycles(schedule, 0)
+
+    def test_ucode_lru_evicts_least_recent(self):
+        store = MicrocodeStore(100)
+        assert store.load("a", 60) == 60
+        assert store.load("b", 30) == 30
+        assert store.load("a", 60) == 0   # a is now most recent
+        assert store.load("c", 30) == 30  # evicts b, not a
+        assert store.load("a", 60) == 0
+        assert store.load("b", 30) == 30
+
+    def test_ucode_reload_folds_into_calls(self):
+        """With a store too small for both kernels, alternating calls
+        reload every time, and each reload lengthens that call."""
+        params = dataclasses.replace(IMAGINE_PARAMETERS, r_uc=40.0)
+        config = ProcessorConfig(8, 5, params=params)
+        p = StreamProgram("alternate")
+        stream = p.stream("seed", elements=800, in_memory=True)
+        p.load(stream)
+        for i, name in enumerate(["noise", "blocksad", "noise"]):
+            nxt = p.stream(f"s{i}", elements=800)
+            p.kernel(get_kernel(name), [stream], [nxt], work_items=800)
+            stream = nxt
+        summary = build_summary(p)
+        tables = config_tables(summary, config)
+        reloads = [tables.reload_cycles[i] for i in (1, 2, 3)]
+        assert all(cycles > 0 for cycles in reloads)
+        assert tables.ucode_reloads == 3
+        for i in (1, 2, 3):
+            schedule = tables.schedules[summary.subject[i]]
+            assert tables.durations[i] == (
+                kernel_call_cycles(schedule, 800) + tables.reload_cycles[i]
+            )
 
 
-def make_stream(name: str, words: int) -> Stream:
-    return Stream(name, elements=words)
+CAPACITY = int(BASELINE_CONFIG.srf_capacity_words)
 
 
 class TestSRFAllocator:
     def test_capacity_from_config(self):
-        srf = SRFAllocator(BASELINE_CONFIG)
-        assert srf.capacity == 44_000
+        assert CAPACITY == 44_000
 
     def test_allocate_and_release(self):
-        srf = SRFAllocator(BASELINE_CONFIG)
-        s = make_stream("a", 1000)
-        assert srf.allocate(s, 0, dirty=False) == []
-        assert srf.is_resident(s)
+        srf = SRFState(CAPACITY)
+        assert srf.allocate("a", 1000, 0, dirty=False) == []
+        assert srf.is_resident("a")
         assert srf.used == 1000
-        srf.release(s)
-        assert srf.free == srf.capacity
+        srf.release("a")
+        assert srf.used == 0
 
     def test_oversized_stream_rejected(self):
-        srf = SRFAllocator(BASELINE_CONFIG)
-        with pytest.raises(CapacityError):
-            srf.allocate(make_stream("huge", 50_000), 0, dirty=False)
+        srf = SRFState(CAPACITY)
+        with pytest.raises(CapacityError, match="huge"):
+            srf.allocate(0, 50_000, 0, dirty=False, name="huge")
 
     def test_lru_eviction(self):
-        srf = SRFAllocator(BASELINE_CONFIG)
-        old = make_stream("old", 20_000)
-        newer = make_stream("newer", 20_000)
-        incoming = make_stream("incoming", 20_000)
-        srf.allocate(old, 0, dirty=False)
-        srf.allocate(newer, 1, dirty=False)
-        evictions = srf.allocate(incoming, 2, dirty=False)
-        assert [e.stream for e in evictions] == [old]
-        assert not srf.is_resident(old)
-        assert srf.is_resident(newer)
+        srf = SRFState(CAPACITY)
+        srf.allocate("old", 20_000, 0, dirty=False)
+        srf.allocate("newer", 20_000, 1, dirty=False)
+        evictions = srf.allocate("incoming", 20_000, 2, dirty=False)
+        assert [victim for victim, _, _ in evictions] == ["old"]
+        assert not srf.is_resident("old")
+        assert srf.is_resident("newer")
 
     def test_dirty_eviction_marks_writeback(self):
-        srf = SRFAllocator(BASELINE_CONFIG)
-        produced = make_stream("produced", 30_000)
-        srf.allocate(produced, 0, dirty=True)
-        evictions = srf.allocate(make_stream("next", 30_000), 1, dirty=False)
-        assert evictions[0].writeback
+        srf = SRFState(CAPACITY)
+        srf.allocate("produced", 30_000, 0, dirty=True)
+        evictions = srf.allocate("next", 30_000, 1, dirty=False)
+        assert evictions == [("produced", 30_000, True)]
         assert srf.spill_words == 30_000
 
     def test_pinned_streams_never_evicted(self):
-        srf = SRFAllocator(BASELINE_CONFIG)
-        pinned = make_stream("pinned", 30_000)
-        srf.allocate(pinned, 0, dirty=False)
-        srf.pin(pinned)
+        srf = SRFState(CAPACITY)
+        srf.allocate("pinned", 30_000, 0, dirty=False)
+        srf.pinned.add("pinned")
         with pytest.raises(CapacityError):
-            srf.allocate(make_stream("big", 30_000), 1, dirty=False)
+            srf.allocate("big", 30_000, 1, dirty=False)
+
+    def test_pins_redirect_the_victim(self):
+        """The least recent *unpinned* stream goes, not the oldest."""
+        srf = SRFState(CAPACITY)
+        srf.allocate("oldest", 20_000, 0, dirty=False)
+        srf.allocate("older", 20_000, 1, dirty=False)
+        srf.pinned.add("oldest")
+        evictions = srf.allocate("incoming", 20_000, 2, dirty=False)
+        assert [victim for victim, _, _ in evictions] == ["older"]
 
     def test_double_allocate_is_idempotent(self):
-        srf = SRFAllocator(BASELINE_CONFIG)
-        s = make_stream("s", 5_000)
-        srf.allocate(s, 0, dirty=False)
-        assert srf.allocate(s, 1, dirty=True) == []
+        srf = SRFState(CAPACITY)
+        srf.allocate("s", 5_000, 0, dirty=False)
+        assert srf.allocate("s", 5_000, 1, dirty=True) == []
         assert srf.used == 5_000
-        assert srf.is_dirty(s)
+        # The second allocation marked it dirty: evicting it writes back.
+        assert srf.allocate("big", 40_000, 2, dirty=False) == [
+            ("s", 5_000, True)
+        ]
 
     @given(st.lists(st.integers(100, 9000), min_size=1, max_size=40))
     @settings(max_examples=40, deadline=None)
     def test_capacity_invariant(self, sizes):
         """The allocator never oversubscribes the SRF."""
-        srf = SRFAllocator(BASELINE_CONFIG)
+        srf = SRFState(CAPACITY)
         for i, words in enumerate(sizes):
-            srf.allocate(make_stream(f"s{i}", words), i, dirty=(i % 2 == 0))
+            srf.allocate(i, words, i, dirty=(i % 2 == 0))
             assert srf.used <= srf.capacity
+
+    def test_program_spills_and_reloads(self):
+        """End to end: a working set past the SRF spills the idle
+        produced stream and reloads it before its consumer."""
+        p = StreamProgram("spill")
+        a = p.stream("a", elements=10_000, in_memory=True)
+        p.load(a)
+        produced = p.stream("produced", elements=20_000)
+        p.kernel(get_kernel("noise"), [a], [produced], work_items=800)
+        b = p.stream("b", elements=30_000, in_memory=True)
+        p.load(b)  # evicts the dirty, still-needed ``produced``
+        p.store(b)
+        out = p.stream("out", elements=800)
+        p.kernel(get_kernel("noise"), [produced], [out], work_items=800)
+        config = ProcessorConfig(8, 5)
+        assert build_summary(p).peak_resident_words > CAPACITY
+        result = simulate(p, config)
+        assert result.spill_words == 20_000
+        assert result.reload_words == 20_000
