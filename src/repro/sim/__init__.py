@@ -1,12 +1,6 @@
 """Stream-processor application simulator (the C++ simulator substitute)."""
 
-from .engine import (
-    DEFAULT_MAX_EVENTS,
-    CapacityError,
-    ProgramSummary,
-    Recorder,
-    build_summary,
-)
+from .engine import DEFAULT_MAX_EVENTS, CapacityError
 from .metrics import BandwidthReport, OpRecord, SimulationResult
 from .partitioned import PartitionedRun, simulate_partitioned
 from .processor import StreamProcessor, simulate
@@ -17,11 +11,8 @@ __all__ = [
     "DEFAULT_MAX_EVENTS",
     "OpRecord",
     "PartitionedRun",
-    "ProgramSummary",
-    "Recorder",
     "SimulationResult",
     "StreamProcessor",
-    "build_summary",
     "simulate",
     "simulate_partitioned",
 ]
