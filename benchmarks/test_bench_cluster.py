@@ -50,7 +50,6 @@ def _boot_fleet(fleet: int, cache_dir: pathlib.Path) -> subprocess.Popen:
             sys.executable, "-m", "repro", "serve",
             "--port", "0",
             "--fleet", str(fleet),
-            "--batch-window-ms", "0",
             "--heartbeat-interval", "0.5",
         ],
         env=env,

@@ -66,7 +66,7 @@ def test_serve_throughput_vs_process_spawn(benchmark, archive):
     loop = asyncio.new_event_loop()
     thread = threading.Thread(target=loop.run_forever, daemon=True)
     thread.start()
-    server = ReproServer(ServerConfig(port=0, batch_window_ms=1.0))
+    server = ReproServer(ServerConfig(port=0))
     asyncio.run_coroutine_threadsafe(server.start(), loop).result(10)
     try:
         client = ServeClient("127.0.0.1", server.port)
@@ -132,7 +132,7 @@ def test_serve_slo_loadgen(benchmark, archive):
     loop = asyncio.new_event_loop()
     thread = threading.Thread(target=loop.run_forever, daemon=True)
     thread.start()
-    server = ReproServer(ServerConfig(port=0, batch_window_ms=1.0))
+    server = ReproServer(ServerConfig(port=0))
     asyncio.run_coroutine_threadsafe(server.start(), loop).result(10)
     try:
         # Warm the caches so the timed window measures steady state.

@@ -661,7 +661,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             workers=args.workers,
             max_queue=args.max_queue,
-            batch_window_ms=args.batch_window_ms,
             max_batch=args.max_batch,
             request_timeout_s=args.timeout,
             trace_path=args.trace_out,
@@ -1149,8 +1148,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "in-process and shares the warm caches")
     serve.add_argument("--max-queue", type=int, default=64,
                        help="pending-request bound before 429 responses")
-    serve.add_argument("--batch-window-ms", type=float, default=5.0,
-                       help="micro-batch collection window")
     serve.add_argument("--max-batch", type=int, default=16,
                        help="largest batch handed to the executor")
     serve.add_argument("--timeout", type=float, default=60.0,

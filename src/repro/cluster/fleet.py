@@ -181,9 +181,6 @@ class LocalFleet:
                 "--port", "0",
                 "--join", join,
                 "--heartbeat-interval", str(self.heartbeat_interval_s),
-                # Workers answer one shard point at a time; a batching
-                # window would only add latency.
-                "--batch-window-ms", "0",
             ] + self.extra_args
             proc = subprocess.Popen(
                 command,

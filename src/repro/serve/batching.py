@@ -3,10 +3,12 @@
 The workload shape the daemon exists for — many small cost/compile/
 simulate queries sharing warm state — rewards two queueing tricks:
 
-* **micro-batching**: requests arriving within one short window are
-  drained together and executed as one batch on the worker executor,
-  so per-dispatch overhead (thread hop, pool submission) is paid per
-  *batch*, not per request;
+* **micro-batching**: a request that arrives while the executor is
+  idle goes straight to it; requests that queue while a batch runs are
+  drained together once it finishes and executed as one batch on the
+  worker executor, so per-dispatch overhead (thread hop, pool
+  submission) is paid per *batch*, not per request, and no request
+  ever waits for anything but the batch ahead of it;
 * **deduplication**: identical queries (same :func:`repro.api.dedup_key`)
   that are queued or executing coalesce onto one computation — every
   waiter receives the same result object.  The API's runners are
@@ -29,7 +31,9 @@ import asyncio
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Deque, Dict, List, NamedTuple, Optional, Sequence,
+)
 
 from ..obs.metrics import MetricsRegistry
 
@@ -40,8 +44,22 @@ class QueueFull(RuntimeError):
     """The pending queue is at capacity; the caller should retry later."""
 
 
+class _Entry(NamedTuple):
+    """One pending (then executing) computation and its waiters."""
+
+    key: str
+    request: Any
+    future: "asyncio.Future"
+    #: Member correlation ids; coalesced waiters append theirs, so the
+    #: list is mutable and shared with the in-flight table.
+    request_ids: List[str]
+    #: ``time.perf_counter()`` at submit, for ``serve.queue_wait_seconds``.
+    submitted: float
+
+
 class MicroBatcher:
-    """Coalescing, bounded, windowed dispatcher for API requests.
+    """Coalescing, bounded dispatcher for API requests that dispatches
+    as soon as its executor is idle.
 
     Parameters
     ----------
@@ -55,15 +73,13 @@ class MicroBatcher:
     max_queue:
         Bound on *pending* (not yet executing) requests; beyond it
         :meth:`submit` raises :class:`QueueFull`.
-    window_s:
-        How long the dispatcher waits after the first enqueue before
-        draining a batch — the micro-batching window.
     max_batch:
         Largest batch handed to ``runner`` in one call.
     metrics:
         Optional registry: ``serve.queue_depth`` gauge,
-        ``serve.dedup_hits``/``serve.batches`` counters and a
-        ``serve.batch_size`` histogram land here.
+        ``serve.dedup_hits``/``serve.batches`` counters and
+        ``serve.batch_size``/``serve.batch_seconds``/
+        ``serve.queue_wait_seconds`` histograms land here.
     """
 
     def __init__(
@@ -71,26 +87,19 @@ class MicroBatcher:
         runner: Callable[[Sequence[Any], Sequence[List[str]]], List[Any]],
         *,
         max_queue: int = 64,
-        window_s: float = 0.005,
         max_batch: int = 16,
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.runner = runner
         self.max_queue = max_queue
-        self.window_s = window_s
         self.max_batch = max_batch
         self.metrics = metrics
         self.submitted = 0
         self.deduped = 0
         self.batches = 0
         self.executed = 0
-        # Pending/in-flight entries carry the mutable list of member
-        # request ids so coalesced waiters correlate to the one batch
-        # that serves them all.
-        self._pending: Deque[
-            Tuple[str, Any, asyncio.Future, List[str]]
-        ] = deque()
-        self._inflight: Dict[str, Tuple[asyncio.Future, List[str]]] = {}
+        self._pending: Deque[_Entry] = deque()
+        self._inflight: Dict[str, _Entry] = {}
         self._wakeup: Optional[asyncio.Event] = None
         self._task: Optional[asyncio.Task] = None
         self._pool = ThreadPoolExecutor(
@@ -169,89 +178,94 @@ class MicroBatcher:
         """
         self.submitted += 1
         existing = self._inflight.get(key)
-        if existing is not None and not existing[0].done():
+        if existing is not None and not existing.future.done():
             self.deduped += 1
             if request_id is not None:
-                existing[1].append(request_id)
+                existing.request_ids.append(request_id)
             if self.metrics is not None:
                 self.metrics.counter("serve.dedup_hits").inc()
-            return existing[0]
+            return existing.future
         if len(self._pending) >= self.max_queue:
             raise QueueFull(
                 f"pending queue at capacity ({self.max_queue} requests)"
             )
-        future = asyncio.get_running_loop().create_future()
-        request_ids: List[str] = [] if request_id is None else [request_id]
-        self._inflight[key] = (future, request_ids)
-        self._pending.append((key, request, future, request_ids))
+        entry = _Entry(
+            key,
+            request,
+            asyncio.get_running_loop().create_future(),
+            [] if request_id is None else [request_id],
+            time.perf_counter(),
+        )
+        self._inflight[key] = entry
+        self._pending.append(entry)
         self._gauge_depth()
         assert self._wakeup is not None and self._idle is not None
         self._idle.clear()
         self._wakeup.set()
-        return future
+        return entry.future
 
     # --- dispatch -------------------------------------------------------
 
     async def _dispatch_loop(self) -> None:
+        """Run batches back to back while anything is pending, then
+        go idle until the next submit."""
         assert self._wakeup is not None and self._idle is not None
-        loop = asyncio.get_running_loop()
         while True:
             await self._wakeup.wait()
-            if not self._pending:
-                self._wakeup.clear()
-                self._idle.set()
-                continue
-            if self.window_s > 0:
-                await asyncio.sleep(self.window_s)
-            batch: List[Tuple[str, Any, asyncio.Future, List[str]]] = []
-            while self._pending and len(batch) < self.max_batch:
-                batch.append(self._pending.popleft())
-            self._gauge_depth()
-            if not self._pending:
-                self._wakeup.clear()
-            if not batch:
-                continue
-            self.batches += 1
-            if self.metrics is not None:
-                self.metrics.counter("serve.batches").inc()
-                self.metrics.histogram("serve.batch_size").observe(len(batch))
-            requests = [request for _, request, _, _ in batch]
-            # Snapshot the id lists *after* the drain: coalesces that
-            # arrive later attach to a fresh entry, so these lists are
-            # complete for this batch.
-            request_ids = [list(rids) for _, _, _, rids in batch]
-            started = time.perf_counter()
-            try:
-                outcomes = await loop.run_in_executor(
-                    self._pool, self.runner, requests, request_ids
-                )
-            except asyncio.CancelledError:
-                for _, _, future, _ in batch:
-                    if not future.done():
-                        future.cancel()
-                raise
-            except BaseException as exc:  # runner bug: fail the batch
-                for key, _, future, _ in batch:
-                    if not future.done():
-                        future.set_exception(exc)
-                    self._forget(key, future)
-                continue
-            if self.metrics is not None:
-                self.metrics.histogram("serve.batch_seconds").observe(
-                    time.perf_counter() - started
-                )
-            for (key, _, future, _), outcome in zip(batch, outcomes):
-                self.executed += 1
-                if not future.done():
-                    future.set_result(outcome)
-                self._forget(key, future)
-            if not self._pending:
-                self._idle.set()
+            while self._pending:
+                batch = [
+                    self._pending.popleft()
+                    for _ in range(min(self.max_batch, len(self._pending)))
+                ]
+                self._gauge_depth()
+                await self._execute(batch)
+            # No await since the check above, so no submit can slip in
+            # between it and going idle.
+            self._wakeup.clear()
+            self._idle.set()
 
-    def _forget(self, key: str, future: "asyncio.Future") -> None:
+    async def _execute(self, batch: List[_Entry]) -> None:
+        """Hand ``batch`` to the runner and settle every waiter's future."""
+        self.batches += 1
+        started = time.perf_counter()
+        if self.metrics is not None:
+            self.metrics.counter("serve.batches").inc()
+            self.metrics.histogram("serve.batch_size").observe(len(batch))
+            waits = self.metrics.histogram("serve.queue_wait_seconds")
+            for entry in batch:
+                waits.observe(started - entry.submitted)
+        requests = [entry.request for entry in batch]
+        # Snapshot the id lists at hand-off: coalesces that arrive later
+        # still share the future but are not part of this batch's record.
+        request_ids = [list(entry.request_ids) for entry in batch]
+        try:
+            outcomes = await asyncio.get_running_loop().run_in_executor(
+                self._pool, self.runner, requests, request_ids
+            )
+        except asyncio.CancelledError:
+            for entry in batch:
+                if not entry.future.done():
+                    entry.future.cancel()
+            raise
+        except BaseException as exc:  # runner bug: fail the batch
+            for entry in batch:
+                if not entry.future.done():
+                    entry.future.set_exception(exc)
+                self._forget(entry)
+            return
+        if self.metrics is not None:
+            self.metrics.histogram("serve.batch_seconds").observe(
+                time.perf_counter() - started
+            )
+        for entry, outcome in zip(batch, outcomes):
+            self.executed += 1
+            if not entry.future.done():
+                entry.future.set_result(outcome)
+            self._forget(entry)
+
+    def _forget(self, entry: _Entry) -> None:
         """Drop the in-flight entry once its computation completed (a
         *new* identical request afterwards recomputes — and hits the
         warm caches — rather than reusing a stale future forever)."""
-        entry = self._inflight.get(key)
-        if entry is not None and entry[0] is future:
-            del self._inflight[key]
+        if self._inflight.get(entry.key) is entry:
+            del self._inflight[entry.key]

@@ -174,7 +174,6 @@ class ServerConfig:
     port: int = 8712
     workers: int = 1
     max_queue: int = 64
-    batch_window_ms: float = 5.0
     max_batch: int = 16
     request_timeout_s: Optional[float] = 60.0
     max_body_bytes: int = 1 << 20
@@ -247,7 +246,6 @@ class ReproServer:
         self.batcher = MicroBatcher(
             self._run_batch,
             max_queue=config.max_queue,
-            window_s=config.batch_window_ms / 1000.0,
             max_batch=config.max_batch,
             metrics=self.metrics,
         )
@@ -1251,7 +1249,7 @@ def run_server(config: ServerConfig) -> int:
         print(
             f"repro serve: listening on http://{config.host}:{server.port} "
             f"(workers={config.workers}, queue={config.max_queue}, "
-            f"window={config.batch_window_ms}ms)",
+            f"max_batch={config.max_batch})",
             flush=True,
         )
         if config.fleet > 0:

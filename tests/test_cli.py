@@ -219,13 +219,13 @@ class TestParser:
 
         args = build_parser().parse_args(
             ["serve", "--port", "0", "--workers", "2",
-             "--batch-window-ms", "1.5", "--max-queue", "8",
+             "--max-batch", "4", "--max-queue", "8",
              "--timeout", "10", "--trace-out", "t.json"]
         )
         assert args.func.__name__ == "cmd_serve"
         assert args.port == 0
         assert args.workers == 2
-        assert args.batch_window_ms == 1.5
+        assert args.max_batch == 4
         assert args.max_queue == 8
         assert args.timeout == 10.0
         assert args.trace_out == "t.json"

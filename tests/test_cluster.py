@@ -218,7 +218,6 @@ def _in_process_server(**overrides):
     import asyncio
 
     overrides.setdefault("port", 0)
-    overrides.setdefault("batch_window_ms", 2.0)
     config = ServerConfig(**overrides)
     loop = asyncio.new_event_loop()
     thread = threading.Thread(target=loop.run_forever, daemon=True)
@@ -247,7 +246,6 @@ def _spawn_worker(coordinator_port, tmp_path, index):
             sys.executable, "-m", "repro", "serve",
             "--port", "0",
             "--join", f"127.0.0.1:{coordinator_port}",
-            "--batch-window-ms", "0",
             "--heartbeat-interval", "0.5",
         ],
         env=env,

@@ -35,7 +35,6 @@ def _canonical(data):
 @contextlib.contextmanager
 def running_server(**overrides):
     overrides.setdefault("port", 0)
-    overrides.setdefault("batch_window_ms", 2.0)
     config = ServerConfig(**overrides)
     loop = asyncio.new_event_loop()
     thread = threading.Thread(target=loop.run_forever, daemon=True)
@@ -153,7 +152,6 @@ def _spawn_worker(coordinator_port, tmp_path, registry_dir, index):
             sys.executable, "-m", "repro", "serve",
             "--port", "0",
             "--join", f"127.0.0.1:{coordinator_port}",
-            "--batch-window-ms", "0",
             "--heartbeat-interval", "0.5",
         ],
         env=env,

@@ -547,7 +547,6 @@ def running_server(**overrides):
     import asyncio
 
     overrides.setdefault("port", 0)
-    overrides.setdefault("batch_window_ms", 2.0)
     config = ServerConfig(**overrides)
     loop = asyncio.new_event_loop()
     thread = threading.Thread(target=loop.run_forever, daemon=True)

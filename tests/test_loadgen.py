@@ -29,7 +29,6 @@ from repro.serve import ReproServer, ServerConfig
 def running_server(**overrides):
     """An in-process daemon on an ephemeral port, drained on exit."""
     overrides.setdefault("port", 0)
-    overrides.setdefault("batch_window_ms", 2.0)
     config = ServerConfig(**overrides)
     loop = asyncio.new_event_loop()
     thread = threading.Thread(target=loop.run_forever, daemon=True)

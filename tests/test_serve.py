@@ -50,7 +50,6 @@ def _canonical(data):
 def running_server(**overrides):
     """An in-process daemon on an ephemeral port, drained on exit."""
     overrides.setdefault("port", 0)
-    overrides.setdefault("batch_window_ms", 2.0)
     config = ServerConfig(**overrides)
     loop = asyncio.new_event_loop()
     thread = threading.Thread(target=loop.run_forever, daemon=True)
@@ -66,6 +65,38 @@ def running_server(**overrides):
         loop.call_soon_threadsafe(loop.stop)
         thread.join(5)
         loop.close()
+
+
+@contextlib.contextmanager
+def held_first_batch(server):
+    """Hold the daemon's first batch inside its runner.
+
+    Yields ``(entered, release)``: ``entered`` is set once the first
+    batch reaches the runner, which then waits for ``release``.  The
+    block's exit releases it, so the server can always drain.
+    """
+    entered = threading.Event()
+    release = threading.Event()
+    runner = server.batcher.runner
+
+    def gated(requests, request_ids):
+        if not entered.is_set():
+            entered.set()
+            release.wait(30)
+        return runner(requests, request_ids)
+
+    server.batcher.runner = gated
+    try:
+        yield entered, release
+    finally:
+        release.set()
+
+
+def _wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.005)
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +203,9 @@ class TestDeduplication:
     def test_concurrent_identical_requests_coalesce_exactly(self):
         """N simultaneous identical queries -> 1 execution, N-1 dedups."""
         clients = 8
-        with running_server(batch_window_ms=500.0) as server:
+        with running_server() as server, held_first_batch(server) as (
+            _, release
+        ):
             barrier = threading.Barrier(clients)
 
             def fire(_):
@@ -181,7 +214,13 @@ class TestDeduplication:
                     return c.costs(7, 3)
 
             with ThreadPoolExecutor(max_workers=clients) as pool:
-                responses = list(pool.map(fire, range(clients)))
+                futures = [pool.submit(fire, i) for i in range(clients)]
+                # The first submit executes (held); the rest coalesce.
+                _wait_until(
+                    lambda: server.batcher.stats()["submitted"] == clients
+                )
+                release.set()
+                responses = [f.result(30) for f in futures]
             assert all(r.status == 200 for r in responses)
             bodies = {_canonical(r.data) for r in responses}
             assert len(bodies) == 1  # every waiter saw the same result
@@ -193,12 +232,19 @@ class TestDeduplication:
 
 class TestBackpressure:
     def test_full_queue_answers_429_with_retry_after(self):
-        with running_server(max_queue=1, batch_window_ms=800.0) as server:
-            with ServeClient("127.0.0.1", server.port) as c1:
-                with ThreadPoolExecutor(max_workers=1) as pool:
-                    # Occupy the single queue slot for the window...
+        with running_server(max_queue=1) as server, held_first_batch(
+            server
+        ) as (entered, release):
+            with ServeClient("127.0.0.1", server.port) as c1, ServeClient(
+                "127.0.0.1", server.port
+            ) as c_queued:
+                with ThreadPoolExecutor(max_workers=2) as pool:
+                    # Hold one query in the executor...
                     first = pool.submit(lambda: c1.costs(9, 2))
-                    time.sleep(0.2)
+                    assert entered.wait(10)
+                    # ...occupy the single queue slot behind it...
+                    queued = pool.submit(lambda: c_queued.costs(9, 3))
+                    _wait_until(lambda: server.batcher.depth == 1)
                     # ...then a *different* query must be refused.
                     # (Retries off: the raw 429 is the assertion.)
                     with ServeClient(
@@ -208,7 +254,9 @@ class TestBackpressure:
                     assert refused.status == 429
                     assert refused.error["code"] == "queue_full"
                     assert refused.retry_after is not None
+                    release.set()
                     assert first.result(30).status == 200
+                    assert queued.result(30).status == 200
 
     def test_draining_answers_503(self):
         with running_server() as server:
@@ -223,10 +271,10 @@ class TestBackpressure:
             server.draining = False  # let the fixture drain cleanly
 
     def test_slow_request_answers_504(self):
-        with running_server(
-            batch_window_ms=700.0, request_timeout_s=0.05
-        ) as server:
-            with ServeClient("127.0.0.1", server.port) as c:
+        with running_server(request_timeout_s=0.05) as server:
+            with held_first_batch(server), ServeClient(
+                "127.0.0.1", server.port
+            ) as c:
                 response = c.costs(11, 2)
             assert response.status == 504
             assert response.error["code"] == "timeout"
@@ -333,6 +381,13 @@ class TestPrometheusEndpoint:
         assert 'repro_serve_request_seconds_bucket{le="+Inf"}' in text
         assert "repro_serve_request_seconds_sum" in text
         assert "# TYPE repro_serve_requests_costs counter" in text
+
+    def test_batcher_histograms_exposed(self, client):
+        assert client.costs(8, 5).status == 200
+        text = client.prometheus_metrics()
+        for name in ("queue_wait_seconds", "batch_seconds"):
+            assert f"# TYPE repro_serve_{name} histogram" in text
+            assert f'repro_serve_{name}_bucket{{le="+Inf"}}' in text
 
 
 class TestProgressEndpoint:
