@@ -1,8 +1,9 @@
 """Full-grid sweep wall time in both modes, against absolute floors.
 
-One timing engine answers both modes, so the grid's two passes differ
-only in what they return: ``simulated`` builds every point's per-op
-records, ``analytical`` returns totals from summaries and tables
+One cached entry to the timing engine answers both modes, so the
+grid's two passes differ only in what they return: ``simulated``
+attaches a recorder and builds every point's per-op records,
+``analytical`` returns totals.  Both read the summaries and tables
 cached across the grid.  Each pass must stay under an absolute
 wall-time floor for the 90-point grid (every suite application on the
 Table-5 cluster counts and Figure-15 ALU counts), and the two must

@@ -58,7 +58,7 @@ def _report(
     def perf_area(cfg) -> float:
         return harmonic_mean(
             [
-                performance_per_area(cfg, kernel_rate(name, cfg, mode))
+                performance_per_area(cfg, kernel_rate(name, cfg))
                 for name in PERFORMANCE_SUITE
             ]
         )
@@ -71,13 +71,13 @@ def _report(
         energy_per_op_overhead=(
             model.energy_per_alu_op() / base_model.energy_per_alu_op()
         ),
-        kernel_speedup=kernel_harmonic_speedup(config, mode),
+        kernel_speedup=kernel_harmonic_speedup(config),
         application_speedup=(
             application_harmonic_speedup(config, mode=mode)
             if include_apps
             else 0.0
         ),
-        kernel_gops=kernel_harmonic_gops(config, mode=mode),
+        kernel_gops=kernel_harmonic_gops(config),
         peak_gops=feas.peak_gops,
         power_watts=feas.power_watts,
         perf_per_area=perf_area(config),

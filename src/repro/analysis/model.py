@@ -1,4 +1,4 @@
-"""Totals-only entry points to the timing engine (the paper's static
+"""The one cached entry to the timing engine (the paper's static
 analysis).
 
 The source paper derives kernel and application performance largely by
@@ -7,35 +7,37 @@ interval and the schedule-length prologue/epilogue give kernel run
 time, stream lengths over the machine's bandwidth ceilings give
 transfer time, and the section-5.3 inventory of short-stream overheads
 covers the rest.  :mod:`repro.sim.engine` is that analysis, as the one
-in-order recurrence every result comes from.  This module runs it
-without a recorder: :func:`predict_application` returns the same
-:class:`~repro.sim.metrics.SimulationResult` totals as
-:func:`repro.sim.processor.simulate`, with an empty ``records`` tuple
-and no metrics, from per-application summaries and per-configuration
-tables it caches across a grid.
+in-order recurrence every result comes from.  :func:`evaluate` runs it
+for one named application on one design point, from a per-application
+summary, a per-(node, clock) memory service table and per-configuration
+tables that it caches across a grid.  Sweeps, the pool workers, the API
+and the CLI all reach the engine through it.
 
-``mode`` (:data:`EXECUTION_MODES`) names the two ways to ask:
-``"simulated"`` returns the per-op records, ``"analytical"`` totals
-only.  The numbers are the same; the mode stays part of every memo and
-checkpoint key, so a records-bearing result and a totals-only one never
-alias.
+``mode`` (:data:`EXECUTION_MODES`) only decides whether that call gets
+a :class:`~repro.sim.engine.Recorder`: ``"simulated"`` returns the
+per-op records, ``"analytical"`` totals only.  The numbers are the
+same; the sweep memo keys application points by mode so a
+records-bearing result and a totals-only one never alias.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Tuple
+from contextlib import nullcontext
+from typing import Dict, Optional, Tuple
 
 from ..apps.streamc import StreamProgram
 from ..apps.suite import get_application
 from ..compiler.pipeline import KernelSchedule
 from ..core.config import ProcessorConfig
 from ..core.params import TECH_45NM, TechnologyNode
+from ..obs.profile import PhaseProfiler
 from ..resilience.faults import fault_point
 from ..sim.engine import (
     DISPATCH_CYCLES,
     ConfigTables,
     ProgramSummary,
+    Recorder,
     build_summary,
     config_tables,
     kernel_call_cycles,
@@ -52,6 +54,7 @@ __all__ = [
     "build_summary",
     "check_mode",
     "clear_summary_cache",
+    "evaluate",
     "predict_application",
     "predict_kernel_call_cycles",
     "predict_program",
@@ -114,12 +117,46 @@ def program_summary(application: str) -> ProgramSummary:
 
 
 def clear_summary_cache() -> None:
-    """Drop every cached digest and derived table (tests mutating the
-    application registry use this)."""
+    """Drop every cached digest and derived table (tests that mutate
+    the application registry, or count compiles, use this)."""
     with _SUMMARY_LOCK:
         _SUMMARIES.clear()
         _SERVICE_TABLES.clear()
         _CONFIG_TABLES.clear()
+
+
+def evaluate(
+    application: str,
+    config: ProcessorConfig,
+    node: TechnologyNode = TECH_45NM,
+    clock_ghz: float = 1.0,
+    recorder: Optional[Recorder] = None,
+    profiler: Optional[PhaseProfiler] = None,
+) -> SimulationResult:
+    """One application point: the engine's walk over cached tables.
+
+    ``application`` is a suite name or a ``kernel:<hash>`` reference.
+    With a ``recorder`` the result carries per-op records (and the
+    recorder's trace spans and metrics); without one, totals only.
+    ``profiler`` is charged ``sim.run`` for the call and, nested in
+    it, ``sim.compile`` when this configuration's tables are derived.
+    """
+    fault_point("sim.run")
+    with profiler.phase("sim.run") if profiler else nullcontext():
+        summary = program_summary(application)
+        key = (application, node, clock_ghz, config.params.b)
+        service = _SERVICE_TABLES.get(key)
+        if service is None:
+            service = _SERVICE_TABLES[key] = service_table(
+                summary, memory_words_per_cycle(config, node, clock_ghz)
+            )
+        tables = _CONFIG_TABLES.get((application, config))
+        if tables is None:
+            tables = _CONFIG_TABLES[application, config] = config_tables(
+                summary, config, profiler
+            )
+        return run(summary, config, node, clock_ghz, tables, service,
+                   recorder)
 
 
 def predict_application(
@@ -128,25 +165,9 @@ def predict_application(
     node: TechnologyNode = TECH_45NM,
     clock_ghz: float = 1.0,
 ) -> SimulationResult:
-    """One application run, totals only.
-
-    Same scalar fields as :func:`repro.sim.processor.simulate` on the
-    same point; ``records`` is empty and ``metrics`` is ``None``.
-    """
-    fault_point("model.predict")
-    summary = program_summary(application)
-    key = (application, node, clock_ghz, config.params.b)
-    service = _SERVICE_TABLES.get(key)
-    if service is None:
-        service = _SERVICE_TABLES[key] = service_table(
-            summary, memory_words_per_cycle(config, node, clock_ghz)
-        )
-    tables = _CONFIG_TABLES.get((application, config))
-    if tables is None:
-        tables = _CONFIG_TABLES[application, config] = config_tables(
-            summary, config
-        )
-    return run(summary, config, node, clock_ghz, tables, service)
+    """Totals only: :func:`evaluate` without a recorder (empty
+    ``records``, no metrics)."""
+    return evaluate(application, config, node, clock_ghz)
 
 
 def predict_program(

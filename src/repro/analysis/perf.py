@@ -38,11 +38,9 @@ TABLE5_N_VALUES = (2, 5, 10, 14)
 TABLE5_C_VALUES = (8, 16, 32, 64, 128)
 
 
-def kernel_rate(
-    name: str, config: ProcessorConfig, mode: str = "simulated"
-) -> float:
+def kernel_rate(name: str, config: ProcessorConfig) -> float:
     """Sustained inner-loop ALU operations per cycle, whole chip."""
-    return default_engine().kernel_rate(name, config, mode)
+    return default_engine().kernel_rate(name, config)
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,6 @@ class KernelSpeedupSeries:
 
 def figure13_kernel_speedups(
     n_values: Sequence[int] = FIG13_N_VALUES,
-    mode: str = "simulated",
     kernels: Optional[Sequence[str]] = None,
 ) -> List[KernelSpeedupSeries]:
     """Figure 13: intracluster kernel speedups over C=8/N=5, at C=8.
@@ -65,24 +62,22 @@ def figure13_kernel_speedups(
     :data:`PERFORMANCE_SUITE`.
     """
     return _kernel_speedups(
-        [ProcessorConfig(BASELINE[0], n) for n in n_values], mode, kernels
+        [ProcessorConfig(BASELINE[0], n) for n in n_values], kernels
     )
 
 
 def figure14_kernel_speedups(
     c_values: Sequence[int] = FIG14_C_VALUES,
-    mode: str = "simulated",
     kernels: Optional[Sequence[str]] = None,
 ) -> List[KernelSpeedupSeries]:
     """Figure 14: intercluster kernel speedups over C=8/N=5, at N=5."""
     return _kernel_speedups(
-        [ProcessorConfig(c, BASELINE[1]) for c in c_values], mode, kernels
+        [ProcessorConfig(c, BASELINE[1]) for c in c_values], kernels
     )
 
 
 def _kernel_speedups(
     configs: Sequence[ProcessorConfig],
-    mode: str = "simulated",
     kernels: Optional[Sequence[str]] = None,
 ) -> List[KernelSpeedupSeries]:
     suite = tuple(kernels) if kernels else PERFORMANCE_SUITE
@@ -93,18 +88,17 @@ def _kernel_speedups(
             (name, config)
             for name in suite
             for config in [baseline, *configs]
-        ],
-        mode=mode,
+        ]
     )
     series: List[KernelSpeedupSeries] = []
     per_config_speedups: Dict[ProcessorConfig, List[float]] = {
         c: [] for c in configs
     }
     for name in suite:
-        base_rate = engine.kernel_rate(name, baseline, mode)
+        base_rate = engine.kernel_rate(name, baseline)
         points = []
         for config in configs:
-            speedup = engine.kernel_rate(name, config, mode) / base_rate
+            speedup = engine.kernel_rate(name, config) / base_rate
             points.append((config, speedup))
             per_config_speedups[config].append(speedup)
         series.append(KernelSpeedupSeries(kernel=name, points=tuple(points)))
@@ -120,29 +114,24 @@ def _kernel_speedups(
     return series
 
 
-def kernel_harmonic_speedup(
-    config: ProcessorConfig, mode: str = "simulated"
-) -> float:
+def kernel_harmonic_speedup(config: ProcessorConfig) -> float:
     """Harmonic-mean kernel speedup of ``config`` over the baseline."""
     engine = default_engine()
     baseline = ProcessorConfig(*BASELINE)
     speedups = [
-        engine.kernel_rate(name, config, mode)
-        / engine.kernel_rate(name, baseline, mode)
+        engine.kernel_rate(name, config) / engine.kernel_rate(name, baseline)
         for name in PERFORMANCE_SUITE
     ]
     return harmonic_mean(speedups)
 
 
 def kernel_harmonic_gops(
-    config: ProcessorConfig,
-    clock_ghz: float = 1.0,
-    mode: str = "simulated",
+    config: ProcessorConfig, clock_ghz: float = 1.0
 ) -> float:
     """Harmonic-mean sustained kernel GOPS of ``config``."""
     engine = default_engine()
     rates = [
-        engine.kernel_rate(name, config, mode) * clock_ghz
+        engine.kernel_rate(name, config) * clock_ghz
         for name in PERFORMANCE_SUITE
     ]
     return harmonic_mean(rates)
@@ -151,7 +140,6 @@ def kernel_harmonic_gops(
 def table5_performance_per_area(
     n_values: Sequence[int] = TABLE5_N_VALUES,
     c_values: Sequence[int] = TABLE5_C_VALUES,
-    mode: str = "simulated",
     kernels: Optional[Sequence[str]] = None,
 ) -> Dict[Tuple[int, int], float]:
     """Table 5: harmonic-mean kernel GOPS per unit area over the grid.
@@ -169,17 +157,14 @@ def table5_performance_per_area(
             for name in suite
             for n in n_values
             for c in c_values
-        ],
-        mode=mode,
+        ]
     )
     grid: Dict[Tuple[int, int], float] = {}
     for n in n_values:
         for c in c_values:
             config = ProcessorConfig(c, n)
             efficiencies = [
-                performance_per_area(
-                    config, engine.kernel_rate(name, config, mode)
-                )
+                performance_per_area(config, engine.kernel_rate(name, config))
                 for name in suite
             ]
             grid[(c, n)] = harmonic_mean(efficiencies)

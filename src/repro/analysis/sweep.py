@@ -39,7 +39,6 @@ import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..apps.suite import get_application
 from ..compiler.cache import default_cache
 from ..compiler.pipeline import compile_batch, compile_kernel
 from ..core.config import ProcessorConfig
@@ -52,9 +51,9 @@ from ..obs.progress import ProgressBus, default_bus
 from ..resilience.checkpoint import SweepCheckpoint
 from ..resilience.executor import ResilientExecutor
 from ..resilience.faults import fault_point
+from ..sim.engine import Recorder
 from ..sim.metrics import SimulationResult
-from ..sim.processor import simulate
-from .model import EXECUTION_MODES, check_mode, predict_application
+from .model import EXECUTION_MODES, check_mode, evaluate
 
 __all__ = [
     "EXECUTION_MODES",
@@ -72,15 +71,16 @@ _SimKey = Tuple[str, ProcessorConfig, TechnologyNode, float, str]
 
 
 def _simulate_point(args: Tuple[str, ProcessorConfig, TechnologyNode, float]):
-    """Process-pool worker: one cold simulation (module level so it
-    pickles; each worker process warms its own compile cache)."""
+    """Process-pool worker: one cold records-mode point (module level
+    so it pickles; each worker process warms its own caches)."""
     fault_point("sweep.point")
     application, config, node, clock_ghz = args
-    return simulate(get_application(application), config, node, clock_ghz)
+    return evaluate(application, config, node, clock_ghz, Recorder())
 
 
 class SweepEngine:
-    """Shared memo cache + fan-out for ``simulate``/``compile_kernel``.
+    """Shared memo cache + fan-out for application points and kernel
+    rates.
 
     Parameters
     ----------
@@ -137,9 +137,7 @@ class SweepEngine:
         #: identical queries compute once, not twice.
         self._lock = threading.RLock()
         self._sim_cache: Dict[_SimKey, SimulationResult] = {}
-        self._rate_cache: Dict[
-            Tuple[str, ProcessorConfig, str], float
-        ] = {}
+        self._rate_cache: Dict[Tuple[str, ProcessorConfig], float] = {}
         self.sim_hits = 0
         self.sim_misses = 0
         self.rate_hits = 0
@@ -201,7 +199,6 @@ class SweepEngine:
         self,
         kernel: str,
         config: ProcessorConfig,
-        mode: str,
         rate: float,
     ) -> bool:
         """Install a kernel rate computed elsewhere (a cluster worker).
@@ -214,8 +211,7 @@ class SweepEngine:
         the key was already cached (the local value wins; both sides
         are deterministic so they cannot disagree).
         """
-        check_mode(mode)
-        key = (kernel, config, mode)
+        key = (kernel, config)
         with self._lock:
             if key in self._rate_cache:
                 return False
@@ -256,14 +252,12 @@ class SweepEngine:
                 self.metrics.counter("sweep.sim.seeded").inc()
             return True
 
-    def has_rate(
-        self, kernel: str, config: ProcessorConfig, mode: str
-    ) -> bool:
+    def has_rate(self, kernel: str, config: ProcessorConfig) -> bool:
         """Whether a kernel rate is already memoized (no side effects:
         hit/miss statistics are untouched — this is a peek, used by the
         cluster coordinator to skip dispatching warm points)."""
         with self._lock:
-            return (kernel, config, mode) in self._rate_cache
+            return (kernel, config) in self._rate_cache
 
     def has_simulation(
         self,
@@ -359,13 +353,13 @@ class SweepEngine:
         clock_ghz: float = 1.0,
         mode: str = "simulated",
     ) -> SimulationResult:
-        """``simulate(get_application(application), config)``, memoized.
+        """One application point through
+        :func:`repro.analysis.model.evaluate`, memoized.
 
         ``mode`` chooses the result's shape, not its numbers:
-        ``"simulated"`` runs the timing engine with a recorder (per-op
-        records), ``"analytical"`` without one (totals only, from
-        summaries and tables cached across the grid).  The mode is part
-        of the memo key (and the checkpoint key), so the two shapes can
+        ``"simulated"`` attaches a recorder (per-op records),
+        ``"analytical"`` does not (totals only).  The mode is part of
+        the memo key (and the checkpoint key), so the two shapes can
         never alias.
         """
         check_mode(mode)
@@ -378,18 +372,11 @@ class SweepEngine:
             self._count("sim", hit=False)
             with self.profiler.phase("sweep.simulate"):
                 started = time.perf_counter()
-                if mode == "analytical":
-                    result = predict_application(
-                        application, config, node, clock_ghz
-                    )
-                else:
-                    result = simulate(
-                        get_application(application),
-                        config,
-                        node,
-                        clock_ghz,
-                        profiler=self.profiler,
-                    )
+                result = evaluate(
+                    application, config, node, clock_ghz,
+                    Recorder() if mode == "simulated" else None,
+                    self.profiler,
+                )
                 elapsed = time.perf_counter() - started
                 self._observe_point(elapsed)
             self._sim_cache[key] = result
@@ -408,22 +395,13 @@ class SweepEngine:
             )
             return result
 
-    def kernel_rate(
-        self,
-        kernel: str,
-        config: ProcessorConfig,
-        mode: str = "simulated",
-    ) -> float:
+    def kernel_rate(self, kernel: str, config: ProcessorConfig) -> float:
         """Sustained whole-chip ops/cycle of a suite kernel, memoized.
 
         Sits above the compiler's own schedule cache: a hit skips the
         machine-description build and cache-key construction too.
-        Kernel rates are a schedule closed form in *both* modes, but the
-        mode still participates in the memo key so the modes never
-        alias.
         """
-        check_mode(mode)
-        key = (kernel, config, mode)
+        key = (kernel, config)
         with self._lock:
             cached = self._rate_cache.get(key)
             if cached is not None:
@@ -444,7 +422,6 @@ class SweepEngine:
                 kernel=kernel,
                 clusters=config.clusters,
                 alus=config.alus_per_cluster,
-                mode=mode,
                 seconds=round(elapsed, 6),
             )
             return rate
@@ -455,7 +432,6 @@ class SweepEngine:
         self,
         points: Sequence[Tuple[str, ProcessorConfig]],
         workers: Optional[int] = None,
-        mode: str = "simulated",
     ) -> List[float]:
         """Compile a (kernel, config) grid; whole-chip rates in order.
 
@@ -466,15 +442,14 @@ class SweepEngine:
         schedule at most once, ever.  Values are identical to repeated
         :meth:`kernel_rate` calls.
         """
-        check_mode(mode)
         with self._lock:
             missing: List[Tuple[str, ProcessorConfig]] = []
             seen = set()
             for kernel, config in points:
-                key = (kernel, config, mode)
+                key = (kernel, config)
                 if key not in self._rate_cache and key not in seen:
                     seen.add(key)
-                    missing.append((kernel, config))
+                    missing.append(key)
             self._publish(
                 "sweep_start",
                 kind="compile",
@@ -495,11 +470,10 @@ class SweepEngine:
                         max_retries=self.max_retries,
                         max_pool_failures=self.max_pool_failures,
                     )
-                for done, ((kernel, config), schedule) in enumerate(
+                for done, (key, schedule) in enumerate(
                     zip(missing, schedules), start=1
                 ):
                     rate = schedule.ops_per_cycle()
-                    key = (kernel, config, mode)
                     self._rate_cache[key] = rate
                     self._count("rate", hit=False)
                     self._checkpoint_store("rate", key, rate)
@@ -512,8 +486,7 @@ class SweepEngine:
                 seconds=round(time.perf_counter() - started, 3),
             )
             return [
-                self.kernel_rate(kernel, config, mode)
-                for kernel, config in points
+                self.kernel_rate(kernel, config) for kernel, config in points
             ]
 
     def simulate_many(

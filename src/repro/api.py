@@ -63,6 +63,7 @@ __all__ = [
     "run_register",
     "run_simulate",
     "run_sweep",
+    "starts_workers",
     "validate_request",
 ]
 
@@ -82,8 +83,9 @@ SWEEP_TARGETS = ("fig13", "fig14", "table5", "fig15", "headline")
 
 #: Modes simulate/sweep requests accept: ``simulated`` (totals plus
 #: per-op records) or ``analytical`` (totals only) — one engine, the
-#: same numbers; kept in API v5, and in memo and checkpoint keys, so
-#: the two result shapes never alias.  Mirrors
+#: same numbers; kept in API v5, and in the application-point memo and
+#: checkpoint keys, so the two result shapes never alias (kernel
+#: studies ignore it).  Mirrors
 #: :data:`repro.analysis.model.EXECUTION_MODES` (asserted by the test
 #: suite) without importing the heavy analysis stack at request-build
 #: time.
@@ -751,7 +753,8 @@ def run_simulate(request: SimulateRequest) -> SimulateResult:
     :func:`repro.analysis.sweep.default_engine`, so a repeated query is
     a memo hit — the property the serving daemon's steady-state
     throughput rests on.  A custom ``max_events`` bypasses the memo
-    (the budget changes failure behavior, never results).
+    and gives the cached entry a recorder with that budget (the budget
+    changes failure behavior, never results).
     """
     validate_request(request)
     from .core.config import ProcessorConfig
@@ -767,14 +770,14 @@ def run_simulate(request: SimulateRequest) -> SimulateResult:
             mode=request.mode,
         )
     else:
-        from .apps.suite import get_application
-        from .sim.processor import simulate
+        from .analysis.model import evaluate
+        from .sim.engine import Recorder
 
-        result = simulate(
-            get_application(request.application),
+        result = evaluate(
+            request.application,
             config,
             clock_ghz=request.clock_ghz,
-            max_events=request.max_events,
+            recorder=Recorder(max_events=request.max_events),
         )
     return SimulateResult.from_simulation(result, request.application)
 
@@ -806,9 +809,9 @@ def run_sweep(request: SweepRequest) -> SweepResult:
         )
 
         series = (
-            figure13_kernel_speedups(mode=request.mode, kernels=kernels)
+            figure13_kernel_speedups(kernels=kernels)
             if request.target == "fig13"
-            else figure14_kernel_speedups(mode=request.mode, kernels=kernels)
+            else figure14_kernel_speedups(kernels=kernels)
         )
         for entry in series:
             name = label if entry.kernel == request.kernel else entry.kernel
@@ -820,7 +823,7 @@ def run_sweep(request: SweepRequest) -> SweepResult:
     elif request.target == "table5":
         from .analysis.perf import table5_performance_per_area
 
-        grid = table5_performance_per_area(mode=request.mode, kernels=kernels)
+        grid = table5_performance_per_area(kernels=kernels)
         for (c, n), value in sorted(grid.items()):
             rows.append({"clusters": c, "alus": n, "perf_per_area": value})
     elif request.target == "fig15":
@@ -909,3 +912,11 @@ def execute(request: AnyRequest) -> AnyResult:
             f"not an API request: {type(request).__name__}"
         )
     return runner(request)  # type: ignore[operator]
+
+
+def starts_workers(request: Any) -> bool:
+    """Whether answering ``request`` can start worker processes (a
+    sweep fanned out over ``workers > 1``).  Such processes see a
+    request id only through the environment, so the serving paths
+    export it for these requests alone."""
+    return isinstance(request, SweepRequest) and (request.workers or 0) > 1

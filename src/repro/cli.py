@@ -50,6 +50,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from typing import List, Optional
 
 from .analysis import (
@@ -70,11 +71,13 @@ from .analysis import (
     table5_performance_per_area,
 )
 from .analysis.perf import TABLE5_C_VALUES, TABLE5_N_VALUES
-from .apps import APPLICATION_ORDER, get_application
-from .compiler import compile_kernel, configure_default_cache, default_cache
+from .apps import APPLICATION_ORDER
+from .compiler import configure_default_cache, default_cache
 from .core import ProcessorConfig
-from .obs import MetricsRegistry, PhaseProfiler, Tracer, build_manifest
-from .sim import DEFAULT_MAX_EVENTS, simulate
+from .obs import (
+    NULL_TRACER, MetricsRegistry, PhaseProfiler, Tracer, build_manifest,
+)
+from .sim import DEFAULT_MAX_EVENTS
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
@@ -110,24 +113,25 @@ def _add_logging_arguments(
     )
 
 
-def _apply_logging_arguments(args: argparse.Namespace) -> None:
+def _apply_logging_arguments(args: argparse.Namespace) -> Optional[str]:
     """Configure structured logging when asked; silent otherwise.
 
-    Enabling logging also exports a run-level correlation id
-    (``REPRO_REQUEST_ID``) unless one is already inherited, so sweep
-    worker processes and tracer instants join the run's log lines.
+    Enabling logging also mints a run-level correlation id unless one
+    is already inherited; :func:`main` exports it as
+    ``REPRO_REQUEST_ID`` for the command's extent, so sweep worker
+    processes and tracer instants join the run's log lines.  Returns
+    that id, or ``None`` when there is nothing to export.
     """
-    import os
-
     from .obs.log import REQUEST_ID_ENV, configure, new_request_id
 
     json_lines = getattr(args, "log_json", False)
     level = getattr(args, "log_level", None)
     if not json_lines and level is None:
-        return
+        return None
     configure(json_lines=json_lines, level=level or "INFO")
-    if not os.environ.get(REQUEST_ID_ENV):
-        os.environ[REQUEST_ID_ENV] = new_request_id()
+    if os.environ.get(REQUEST_ID_ENV):
+        return None
+    return new_request_id()
 
 
 def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
@@ -301,29 +305,26 @@ def cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_instrumented(args: argparse.Namespace, tracer: Tracer):
-    """Shared simulate/trace plumbing: build, compile, run, and time.
+def _evaluate(args: argparse.Namespace, records: bool = True,
+              tracer: Tracer = NULL_TRACER,
+              metrics: Optional[MetricsRegistry] = None):
+    """Shared simulate/trace plumbing: one application point through
+    :func:`repro.analysis.model.evaluate`, timed.
 
-    Returns ``(result, tracer, profiler)``; the profiler has ``build``,
-    ``compile`` and ``simulate`` wall-clock phases (kernel compilation
-    is cached, so pre-compiling here moves its cost out of the
-    ``simulate`` phase without changing what runs).
+    ``records`` attaches a recorder (with ``tracer``, ``metrics`` and
+    the ``--max-events`` budget).  Returns ``(result, profiler)``; the
+    profiler has a ``simulate`` wall-clock phase, with ``sim.run`` and
+    ``sim.compile`` (schedule lookups) inside it.
     """
-    config = _config(args)
-    metrics = MetricsRegistry()
+    from .analysis.model import evaluate
+    from .sim.engine import Recorder
+
+    recorder = Recorder(tracer, metrics, args.max_events) if records else None
     profiler = PhaseProfiler()
-    with profiler.phase("build"):
-        program = get_application(args.application)
-    with profiler.phase("compile"):
-        for call in program.kernel_calls():
-            compile_kernel(call.kernel, config)
     with profiler.phase("simulate"):
-        result = simulate(
-            program,
-            config,
-            tracer=tracer,
-            metrics=metrics,
-            max_events=getattr(args, "max_events", DEFAULT_MAX_EVENTS),
+        result = evaluate(
+            args.application, _config(args),
+            recorder=recorder, profiler=profiler,
         )
     return result, profiler
 
@@ -351,24 +352,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
               "timeline; --timeline/--gantt/--trace-out need "
               "--mode simulated", file=sys.stderr)
         return 2
-    if analytical:
-        from .analysis.model import predict_application
-
-        profiler = PhaseProfiler()
-        with profiler.phase("predict"):
-            result = predict_application(args.application, config)
-    elif args.json or args.trace_out:
-        tracer = Tracer()
-        result, profiler = _run_instrumented(args, tracer)
-        if args.trace_out:
-            with open(args.trace_out, "w") as handle:
-                handle.write(tracer.to_chrome_json(indent=2))
-    else:
-        result = simulate(
-            get_application(args.application),
-            config,
-            max_events=args.max_events,
-        )
+    tracer = Tracer() if args.trace_out else NULL_TRACER
+    result, profiler = _evaluate(
+        args, records=not analytical, tracer=tracer,
+        metrics=MetricsRegistry() if args.json and not analytical else None,
+    )
+    if args.trace_out:
+        with open(args.trace_out, "w") as handle:
+            handle.write(tracer.to_chrome_json(indent=2))
     if args.json:
         from .api import SimulateResult
 
@@ -405,7 +396,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
           f"({result.bandwidth.locality_fraction:.1%} on-chip)")
     print(f"  {_cache_summary()}")
     if analytical:
-        print(f"  predicted in {profiler.seconds('predict') * 1e3:.2f} ms "
+        print(f"  predicted in {profiler.seconds('simulate') * 1e3:.2f} ms "
               "(totals only; --mode simulated adds the per-op timeline)")
     if args.timeline:
         for record in result.records:
@@ -427,11 +418,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from .analysis.timeline import render_trace
 
     tracer = Tracer()
-    result, profiler = _run_instrumented(args, tracer)
+    result, profiler = _evaluate(
+        args, tracer=tracer, metrics=MetricsRegistry()
+    )
     print(render_trace(tracer, max_rows_per_resource=args.rows))
     print(f"({result.cycles} cycles simulated in "
-          f"{profiler.seconds('simulate') * 1e3:.1f} ms wall; "
-          f"compile {profiler.seconds('compile') * 1e3:.1f} ms)")
+          f"{profiler.seconds('simulate') * 1e3:.1f} ms wall, "
+          f"{profiler.seconds('sim.compile') * 1e3:.1f} ms of it compile)")
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(tracer.to_chrome_json(indent=2))
@@ -460,37 +453,36 @@ def cmd_schedules(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Figure renderers.  Each takes the execution mode; the VLSI cost
-#: figures (6-11) are closed-form already and ignore it, the
-#: performance studies (13/14/table5) route it to the sweep engine.
+#: Figure renderers: the VLSI cost figures (6-11) and the kernel
+#: studies (13/14/table5) the sweep engine memoizes.
 _FIGURES = {
-    "fig6": lambda mode="simulated": render_stack_figure(
+    "fig6": lambda: render_stack_figure(
         "Figure 6: area/ALU, intracluster (C=8, norm N=5)",
         figure6_area_intracluster(), "N"),
-    "fig7": lambda mode="simulated": render_stack_figure(
+    "fig7": lambda: render_stack_figure(
         "Figure 7: energy/op, intracluster (C=8, norm N=5)",
         figure7_energy_intracluster(), "N"),
-    "fig8": lambda mode="simulated": render_delay_figure(
+    "fig8": lambda: render_delay_figure(
         "Figure 8: delays, intracluster (C=8)",
         figure8_delay_intracluster(), "N"),
-    "fig9": lambda mode="simulated": render_stack_figure(
+    "fig9": lambda: render_stack_figure(
         "Figure 9: area/ALU, intercluster (N=5, norm C=8)",
         figure9_area_intercluster(), "C"),
-    "fig10": lambda mode="simulated": render_stack_figure(
+    "fig10": lambda: render_stack_figure(
         "Figure 10: energy/op, intercluster (N=5, norm C=8)",
         figure10_energy_intercluster(), "C"),
-    "fig11": lambda mode="simulated": render_delay_figure(
+    "fig11": lambda: render_delay_figure(
         "Figure 11: delays, intercluster (N=5)",
         figure11_delay_intercluster(), "C"),
-    "fig13": lambda mode="simulated": render_speedup_figure(
+    "fig13": lambda: render_speedup_figure(
         "Figure 13: intracluster kernel speedup",
-        figure13_kernel_speedups(mode=mode), "N"),
-    "fig14": lambda mode="simulated": render_speedup_figure(
+        figure13_kernel_speedups(), "N"),
+    "fig14": lambda: render_speedup_figure(
         "Figure 14: intercluster kernel speedup",
-        figure14_kernel_speedups(mode=mode), "C"),
-    "table5": lambda mode="simulated": render_grid(
+        figure14_kernel_speedups(), "C"),
+    "table5": lambda: render_grid(
         "Table 5: kernel performance per unit area",
-        table5_performance_per_area(mode=mode),
+        table5_performance_per_area(),
         TABLE5_C_VALUES, TABLE5_N_VALUES),
 }
 
@@ -503,7 +495,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
                   f"available: {', '.join(sorted(_FIGURES))}",
                   file=sys.stderr)
             return 2
-        print(_FIGURES[name](mode=args.mode))
+        print(_FIGURES[name]())
         print()
     return 0
 
@@ -554,7 +546,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             meta=meta,
         )
     for name in ("fig13", "fig14", "table5"):
-        print(_FIGURES[name](mode=args.mode))
+        print(_FIGURES[name]())
         print()
     if args.apps:
         from .analysis.perf import figure15_application_performance
@@ -1099,10 +1091,6 @@ def build_parser() -> argparse.ArgumentParser:
     figs = sub.add_parser("figures", help="regenerate tables/figures")
     figs.add_argument("--only", nargs="*",
                       help=f"subset: {', '.join(sorted(_FIGURES))}")
-    figs.add_argument("--mode", choices=("simulated", "analytical"),
-                      default="simulated",
-                      help="records (simulated) or totals only "
-                           "(analytical); the figures are identical")
     _add_cache_arguments(figs)
     _add_checkpoint_arguments(figs)
     figs.set_defaults(func=cmd_figures)
@@ -1314,15 +1302,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    _apply_logging_arguments(args)
-    _apply_cache_arguments(args)
-    _apply_checkpoint_arguments(args)
-    if getattr(args, "task_timeout", None) is not None:
-        from .analysis.sweep import default_engine
+    from .obs.log import bind_request_id
 
-        default_engine().task_timeout = args.task_timeout
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    request_id = _apply_logging_arguments(args)
+    scope = (
+        bind_request_id(request_id, propagate_env=True)
+        if request_id is not None else nullcontext()
+    )
+    with scope:
+        _apply_cache_arguments(args)
+        _apply_checkpoint_arguments(args)
+        if getattr(args, "task_timeout", None) is not None:
+            from .analysis.sweep import default_engine
+
+            default_engine().task_timeout = args.task_timeout
+        return args.func(args)
 
 
 if __name__ == "__main__":

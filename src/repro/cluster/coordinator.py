@@ -50,6 +50,7 @@ from ..api import (
     SweepRequest,
     dedup_key,
     execute,
+    starts_workers,
 )
 from ..obs.log import bind_request_id, current_request_id, get_logger, \
     log_event
@@ -168,9 +169,7 @@ def compute_point_locally(point: AnyRequest) -> None:
     engine = default_engine()
     if isinstance(point, CompileRequest):
         engine.kernel_rate(
-            point.kernel,
-            ProcessorConfig(point.clusters, point.alus),
-            "simulated",
+            point.kernel, ProcessorConfig(point.clusters, point.alus)
         )
     else:
         engine.simulate_application(
@@ -348,7 +347,8 @@ class ClusterCoordinator:
         outcome, never raising for per-request failures."""
         request_id, request = item
         with bind_request_id(
-            request_id, propagate_env=request_id is not None
+            request_id,
+            propagate_env=request_id is not None and starts_workers(request),
         ):
             try:
                 return ("ok", self.execute(request))
@@ -531,9 +531,7 @@ class ClusterCoordinator:
 
         if isinstance(point, CompileRequest):
             return engine.has_rate(
-                point.kernel,
-                ProcessorConfig(point.clusters, point.alus),
-                "simulated",
+                point.kernel, ProcessorConfig(point.clusters, point.alus)
             )
         return engine.has_simulation(
             point.application,
@@ -555,7 +553,6 @@ class ClusterCoordinator:
             engine.seed_rate(
                 point.kernel,
                 ProcessorConfig(point.clusters, point.alus),
-                "simulated",
                 result.ops_per_cycle,
             )
         else:

@@ -121,8 +121,8 @@ def bind_request_id(
     worker *processes* spawned inside the block inherit the id (fork or
     spawn — same mechanism as ``REPRO_FAULT_PLAN``).  Environment
     mutation is process-global, so only single-request scopes (CLI
-    invocations, one-shot sweeps) should propagate; the daemon passes
-    ids per task instead.
+    invocations, one-shot sweeps) and requests that start worker
+    processes should propagate.
     """
     token = _request_id.set(request_id)
     previous = os.environ.get(REQUEST_ID_ENV)

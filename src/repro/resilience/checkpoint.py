@@ -56,7 +56,8 @@ __all__ = [
 ]
 
 #: Bump when the entry layout changes (old entries are then skipped).
-SCHEMA_VERSION = 1
+#: v2: kernel-rate keys are ``(kernel, config)`` (no execution mode).
+SCHEMA_VERSION = 2
 
 #: Entry kinds the sweep engine persists.
 KINDS = ("sim", "rate")

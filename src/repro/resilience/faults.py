@@ -95,8 +95,7 @@ FAULT_SITES: Dict[str, str] = {
     "cache.store": "ScheduleCache.store, after writing an entry (path)",
     "checkpoint.load": "SweepCheckpoint load, before reading (path)",
     "checkpoint.store": "SweepCheckpoint store, after writing (path)",
-    "sim.run": "StreamProcessor.run, before executing a program",
-    "model.predict": "predict_application, before the closed-form eval",
+    "sim.run": "evaluate / StreamProcessor.run, before the engine's walk",
     "cluster.dispatch": "coordinator, before sending one point to a "
                         "worker daemon",
 }

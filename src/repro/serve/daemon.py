@@ -87,6 +87,7 @@ from ..api import (
     dedup_key,
     execute,
     request_from_dict,
+    starts_workers,
 )
 from ..obs.log import (
     bind_request_id,
@@ -208,13 +209,20 @@ def _safe_execute(item: Tuple[Optional[str], Any]) -> Tuple[str, Any]:
     the resilient executor never burns retries on them — its retry
     machinery stays reserved for genuine pool crashes and hangs.
 
-    The request id is bound around the execution (and exported to the
-    environment, the ``REPRO_FAULT_PLAN`` propagation pattern) so every
-    log line, tracer instant, and progress event the computation emits
-    — including from sweep fan-out worker processes — carries it.
+    The request id is bound around the execution so every log line,
+    tracer instant, and progress event the computation emits carries
+    it.  Requests that can start worker processes
+    (:func:`repro.api.starts_workers`) also export it to the
+    environment, the ``REPRO_FAULT_PLAN`` propagation pattern, so
+    sweep fan-out workers carry it too; the others leave the
+    environment alone (every distinct value set there stays allocated
+    for the life of the process).
     """
     request_id, request = item
-    with bind_request_id(request_id, propagate_env=request_id is not None):
+    with bind_request_id(
+        request_id,
+        propagate_env=request_id is not None and starts_workers(request),
+    ):
         try:
             return ("ok", execute(request))
         except ApiError as exc:

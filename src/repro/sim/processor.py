@@ -1,11 +1,14 @@
-"""The stream processor: executes StreamC programs end to end.
+"""The stream processor: executes ad-hoc StreamC programs end to end.
 
 The stream controller issues a program's stream operations in order,
 and loads and stores overlap kernel execution whenever dependences
 allow — the application-level concurrency of paper section 2.2.  The
 timing is :func:`repro.sim.engine.run`; this module wraps it with a
 :class:`~repro.sim.engine.Recorder`, so every run returns its per-op
-timeline and, when asked, trace spans and metrics.
+timeline and, when asked, trace spans and metrics.  Named suite
+applications go through the cached
+:func:`repro.analysis.model.evaluate` instead; this path digests and
+compiles its program on every call.
 """
 
 from __future__ import annotations
@@ -16,12 +19,9 @@ from ..apps.streamc import StreamProgram
 from ..core.config import ProcessorConfig
 from ..core.params import TECH_45NM, TechnologyNode
 from ..obs.metrics import MetricsRegistry
-from ..obs.profile import PhaseProfiler
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..resilience.faults import fault_point
-from .engine import (
-    DEFAULT_MAX_EVENTS, Recorder, build_summary, config_tables, run,
-)
+from .engine import DEFAULT_MAX_EVENTS, Recorder, build_summary, run
 from .metrics import SimulationResult
 
 
@@ -41,7 +41,6 @@ class StreamProcessor:
         tracer: Tracer = NULL_TRACER,
         metrics: Optional[MetricsRegistry] = None,
         max_events: int = DEFAULT_MAX_EVENTS,
-        profiler: Optional[PhaseProfiler] = None,
     ):
         self.config = config
         self.node = node
@@ -49,21 +48,12 @@ class StreamProcessor:
         self.tracer = tracer
         self.metrics = metrics
         self.max_events = max_events
-        #: Wall-clock profiler charged with ``sim.compile`` (the
-        #: schedule lookups inside the run) when present; sweeps use it
-        #: to tell compile time from simulation time.
-        self.profiler = profiler
 
     def run(self, program: StreamProgram) -> SimulationResult:
         """Execute ``program`` and return its timing and statistics."""
         fault_point("sim.run")
-        summary = build_summary(program)
         return run(
-            summary,
-            self.config,
-            self.node,
-            self.clock_ghz,
-            tables=config_tables(summary, self.config, self.profiler),
+            build_summary(program), self.config, self.node, self.clock_ghz,
             recorder=Recorder(self.tracer, self.metrics, self.max_events),
         )
 
@@ -76,19 +66,9 @@ def simulate(
     tracer: Tracer = NULL_TRACER,
     metrics: Optional[MetricsRegistry] = None,
     max_events: int = DEFAULT_MAX_EVENTS,
-    profiler: Optional[PhaseProfiler] = None,
 ) -> SimulationResult:
     """Convenience wrapper: run ``program`` on a fresh processor."""
-    processor = StreamProcessor(
-        config,
-        node,
-        clock_ghz,
-        tracer=tracer,
-        metrics=metrics,
+    return StreamProcessor(
+        config, node, clock_ghz, tracer=tracer, metrics=metrics,
         max_events=max_events,
-        profiler=profiler,
-    )
-    if profiler is not None:
-        with profiler.phase("sim.run"):
-            return processor.run(program)
-    return processor.run(program)
+    ).run(program)

@@ -153,12 +153,6 @@ class TestAnalyticalMode:
         ) == 2
         assert "--mode simulated" in capsys.readouterr().err
 
-    def test_figures_analytical(self, capsys):
-        assert main(
-            ["figures", "--only", "fig13", "--mode", "analytical"]
-        ) == 0
-        assert "Figure 13" in capsys.readouterr().out
-
     def test_report_analytical_prints_mode_line(self, capsys):
         assert main(["report", "--mode", "analytical"]) == 0
         out = capsys.readouterr().out

@@ -9,7 +9,11 @@ exactly:
 * ``applications`` — the six applications on the Table-5 ``C`` values
   x the Figure-15 ``N`` values (90 points): every scalar field of the
   :class:`~repro.sim.metrics.SimulationResult`, plus a sha256 of the
-  per-op ``(index, kind, label, start, finish)`` records;
+  per-op ``(index, kind, label, start, finish)`` records.  The same 90
+  golden entries are checked three ways: through ``simulate`` on an
+  ad-hoc program, and through a
+  :class:`~repro.analysis.sweep.SweepEngine` in records mode (scalars
+  plus digest) and in totals mode (scalars);
 * ``kernel_calls`` — one call of each suite kernel on the Table-5 grid
   at three stream lengths (360 points), microcode load included;
 * ``variants`` — non-default clocks, technology nodes and microcode
@@ -19,7 +23,8 @@ exactly:
   spill-heavy and a spill-free run, compared as bytes (sha256).
 
 Run as a script (``python tests/test_golden_sim.py``) it prints
-``golden: N/N points exact`` and exits non-zero on any mismatch.
+``golden: N/N points exact`` (checked points, so the application
+entries count three times) and exits non-zero on any mismatch.
 """
 
 import dataclasses
@@ -30,6 +35,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.model import clear_summary_cache
+from repro.analysis.sweep import SweepEngine
 from repro.apps.suite import APPLICATION_ORDER, get_application
 from repro.compiler.pipeline import compile_kernel
 from repro.core.config import ProcessorConfig
@@ -77,6 +84,10 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+#: The record-derived fields; totals-only results carry none.
+RECORD_FIELDS = ("records", "records_sha256")
+
+
 def result_fields(result) -> dict:
     """Every scalar a :class:`SimulationResult` reports, plus a digest
     of its per-op timeline."""
@@ -108,6 +119,33 @@ def application_points() -> dict:
         for c in C_VALUES
         for n in APP_N_VALUES
     }
+
+
+def scalar_fields(fields: dict) -> dict:
+    return {k: v for k, v in fields.items() if k not in RECORD_FIELDS}
+
+
+def engine_points(mode: str) -> dict:
+    """The application grid through a fresh sweep engine in ``mode``
+    (the cached path sweeps, pool workers and the daemon share), its
+    tables derived afresh."""
+    clear_summary_cache()
+    grid = [
+        (f"{app}@{c}x{n}", app, ProcessorConfig(c, n))
+        for app in APPLICATION_ORDER
+        for c in C_VALUES
+        for n in APP_N_VALUES
+    ]
+    results = SweepEngine().simulate_many(
+        [(app, config) for _, app, config in grid], mode=mode
+    )
+    points = {
+        label: result_fields(result)
+        for (label, _, _), result in zip(grid, results)
+    }
+    if mode == "simulated":
+        return points
+    return {label: scalar_fields(fields) for label, fields in points.items()}
 
 
 def first_call_cycles(schedule, work_items: int) -> int:
@@ -193,17 +231,35 @@ def byte_exact_points() -> dict:
     return points
 
 
+def _whole(entry):
+    return entry
+
+
+#: Check name -> (golden section, compute, projection of the golden
+#: entries onto what the check computes).
 SECTIONS = {
-    "applications": application_points,
-    "kernel_calls": kernel_call_points,
-    "variants": variant_points,
-    "partitioned": partitioned_points,
-    "byte_exact": byte_exact_points,
+    "applications": ("applications", application_points, _whole),
+    "engine_records": (
+        "applications", lambda: engine_points("simulated"), _whole,
+    ),
+    "engine_totals": (
+        "applications", lambda: engine_points("analytical"), scalar_fields,
+    ),
+    "kernel_calls": ("kernel_calls", kernel_call_points, _whole),
+    "variants": ("variants", variant_points, _whole),
+    "partitioned": ("partitioned", partitioned_points, _whole),
+    "byte_exact": ("byte_exact", byte_exact_points, _whole),
 }
 
 
 def load_golden() -> dict:
     return json.loads(GOLDEN.read_text())
+
+
+def expected(golden: dict, check: str) -> dict:
+    """The golden entries ``check`` must reproduce."""
+    section, _, project = SECTIONS[check]
+    return {key: project(entry) for key, entry in golden[section].items()}
 
 
 @pytest.fixture(scope="module")
@@ -232,20 +288,20 @@ class TestGoldenTable:
 
     @pytest.mark.parametrize("section", sorted(SECTIONS))
     def test_section_exact(self, golden, section):
-        actual = SECTIONS[section]()
-        assert _mismatches(golden[section], actual) == []
+        actual = SECTIONS[section][1]()
+        assert _mismatches(expected(golden, section), actual) == []
 
 
 def main() -> int:
     golden = load_golden()
     total = exact = 0
-    for section, compute in SECTIONS.items():
-        actual = compute()
-        bad = _mismatches(golden[section], actual)
-        total += len(golden[section])
-        exact += len(golden[section]) - len(bad)
+    for check, (_, compute, _) in SECTIONS.items():
+        wanted = expected(golden, check)
+        bad = _mismatches(wanted, compute())
+        total += len(wanted)
+        exact += len(wanted) - len(bad)
         for key in bad:
-            print(f"MISMATCH {section}/{key}", file=sys.stderr)
+            print(f"MISMATCH {check}/{key}", file=sys.stderr)
     print(f"golden: {exact}/{total} points exact")
     return 0 if exact == total else 1
 

@@ -30,7 +30,11 @@ from repro.obs.log import (
 @pytest.fixture(autouse=True)
 def _pristine_logging(monkeypatch):
     """Undo configure()/env side effects so tests stay independent."""
-    monkeypatch.delenv(REQUEST_ID_ENV, raising=False)
+    # setenv first so monkeypatch records the variable's prior state
+    # and restores it at teardown, whatever a test left behind (a bare
+    # delenv of an absent variable records nothing to undo).
+    monkeypatch.setenv(REQUEST_ID_ENV, "")
+    monkeypatch.delenv(REQUEST_ID_ENV)
     logger = logging.getLogger(ROOT_LOGGER)
     level = logger.level
     yield
@@ -194,3 +198,23 @@ class TestBitIdentity:
     def test_cli_without_flags_leaves_env_unset(self, capsys):
         assert main(["costs", "-c", "8", "-n", "5"]) == 0
         assert REQUEST_ID_ENV not in os.environ
+
+    def test_cli_logging_exports_id_only_while_main_runs(
+        self, capsys, monkeypatch
+    ):
+        """A logged run exports its correlation id for the command's
+        extent only; afterwards nothing (e.g. a tracer instant) sees it."""
+        from repro import cli
+        from repro.obs.tracer import Tracer
+
+        seen = []
+        monkeypatch.setattr(
+            cli, "cmd_costs",
+            lambda args: seen.append(os.environ.get(REQUEST_ID_ENV)) or 0,
+        )
+        assert main(["--log-json", "costs"]) == 0
+        assert seen and seen[0]
+        assert REQUEST_ID_ENV not in os.environ
+        tracer = Tracer()
+        tracer.instant("events", "after", 0)
+        assert "request_id" not in dict(tracer.instants[0].detail)

@@ -34,7 +34,13 @@ from repro.resilience import (
     install_plan,
 )
 from repro.resilience import faults as faults_module
-from repro.resilience.checkpoint import default_checkpoint_root
+from repro.resilience.checkpoint import (
+    SCHEMA_VERSION,
+    default_checkpoint_root,
+)
+
+#: The directory a checkpoint keeps its current-schema entries in.
+ENTRIES = f"v{SCHEMA_VERSION}"
 
 
 @pytest.fixture(autouse=True)
@@ -462,7 +468,7 @@ class TestSweepCheckpoint:
         checkpoint = SweepCheckpoint(tmp_path)
         checkpoint.store("rate", "a", 1.0)
         checkpoint.store("rate", "b", 2.0)
-        victim = sorted((tmp_path / "v1").glob("*.ckpt"))[0]
+        victim = sorted((tmp_path / ENTRIES).glob("*.ckpt"))[0]
         data = victim.read_bytes()
         middle = len(data) // 2
         victim.write_bytes(
@@ -476,7 +482,7 @@ class TestSweepCheckpoint:
     def test_truncated_entry_dropped(self, tmp_path):
         checkpoint = SweepCheckpoint(tmp_path)
         checkpoint.store("rate", "a", 1.0)
-        victim = next((tmp_path / "v1").glob("*.ckpt"))
+        victim = next((tmp_path / ENTRIES).glob("*.ckpt"))
         victim.write_bytes(victim.read_bytes()[:10])
         assert list(checkpoint.entries()) == []
         assert checkpoint.stats()["corrupt"] == 1
@@ -485,7 +491,7 @@ class TestSweepCheckpoint:
         checkpoint = SweepCheckpoint(tmp_path)
         for i in range(5):
             checkpoint.store("rate", f"key{i}", float(i))
-        leftovers = list((tmp_path / "v1").glob(".tmp-*"))
+        leftovers = list((tmp_path / ENTRIES).glob(".tmp-*"))
         assert leftovers == []
 
     def test_clear(self, tmp_path):
@@ -527,7 +533,7 @@ class TestSweepCheckpoint:
             "kind": "rate",
             "checksum": hashlib.sha256(body).hexdigest(),
         }).encode()
-        entry_dir = tmp_path / "v1"
+        entry_dir = tmp_path / ENTRIES
         entry_dir.mkdir()
         (entry_dir / "stale.ckpt").write_bytes(header + b"\n" + body)
         assert list(checkpoint.entries()) == []
@@ -545,7 +551,7 @@ class TestSweepCheckpoint:
             "kind": "sim",  # disagrees with the body
             "checksum": hashlib.sha256(body).hexdigest(),
         }).encode()
-        entry_dir = tmp_path / "v1"
+        entry_dir = tmp_path / ENTRIES
         entry_dir.mkdir()
         (entry_dir / "lied.ckpt").write_bytes(header + b"\n" + body)
         assert list(checkpoint.entries()) == []
@@ -553,7 +559,7 @@ class TestSweepCheckpoint:
 
     def test_vanished_entry_counts_as_skipped(self, tmp_path):
         checkpoint = SweepCheckpoint(tmp_path)
-        missing = tmp_path / "v1" / "gone.ckpt"
+        missing = tmp_path / ENTRIES / "gone.ckpt"
         assert checkpoint._decode(missing) is None
         assert checkpoint.stats()["skipped"] == 1
 
@@ -592,6 +598,10 @@ class TestSweepEngineCheckpointing:
         config = ProcessorConfig(8, 5)
         first = SweepEngine(checkpoint=SweepCheckpoint(tmp_path))
         rate = first.kernel_rate("fft", config)
+        # Schema v2: a rate is keyed by (kernel, config), no mode.
+        assert [
+            (kind, key) for kind, key, _ in SweepCheckpoint(tmp_path).entries()
+        ] == [("rate", ("fft", config))]
 
         second = SweepEngine(checkpoint=SweepCheckpoint(tmp_path))
         assert second.resume() == 1

@@ -372,6 +372,42 @@ class TestRequestCorrelation:
         second = client.costs(8, 5).request_id
         assert first != second
 
+    def test_only_worker_starting_requests_export_the_id(self, monkeypatch):
+        """Every request binds its id; only one that can start worker
+        processes (a sweep with ``workers > 1``) also exports it to the
+        environment, which keeps each distinct value it is given."""
+        from repro.obs.log import REQUEST_ID_ENV, current_request_id
+        from repro.serve import daemon
+
+        monkeypatch.delenv(REQUEST_ID_ENV, raising=False)
+        seen = []
+        real_execute = daemon.execute
+
+        def spying_execute(request):
+            seen.append((
+                type(request).__name__,
+                current_request_id(),
+                os.environ.get(REQUEST_ID_ENV),
+            ))
+            return real_execute(request)
+
+        monkeypatch.setattr(daemon, "execute", spying_execute)
+        with running_server() as server:
+            with ServeClient("127.0.0.1", server.port) as c:
+                assert c.costs(8, 5, request_id="env-cost").status == 200
+                assert c.simulate(
+                    "fft1k", request_id="env-simulate"
+                ).status == 200
+                assert c.sweep(
+                    "fig13", workers=2, request_id="env-sweep"
+                ).status == 200
+        assert seen == [
+            ("CostQuery", "env-cost", None),
+            ("SimulateRequest", "env-simulate", None),
+            ("SweepRequest", "env-sweep", "env-sweep"),
+        ]
+        assert REQUEST_ID_ENV not in os.environ
+
 
 class TestPrometheusEndpoint:
     def test_exposition_text(self, client):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.model import clear_summary_cache
 from repro.analysis.perf import (
     BASELINE,
     application_harmonic_speedup,
@@ -193,15 +194,17 @@ class TestExecutionModes:
         assert engine.simulate_application("fft1k", config) is simulated
         assert engine.stats()["sim_hits"] == 2
 
-    def test_kernel_rate_mode_in_key(self):
+    def test_kernel_rate_key_has_no_mode(self):
+        """A rate is one schedule closed form whatever the application
+        mode, so its memo key is ``(kernel, config)``: asked twice, it
+        is one miss plus one hit."""
         engine = SweepEngine()
         config = ProcessorConfig(8, 5)
-        simulated = engine.kernel_rate("convolve", config)
-        analytical = engine.kernel_rate(
-            "convolve", config, mode="analytical"
-        )
-        assert analytical == simulated  # same closed form either way
-        assert engine.stats()["rate_misses"] == 2
+        first = engine.kernel_rate("convolve", config)
+        assert engine.kernel_rate("convolve", config) == first
+        assert engine.has_rate("convolve", config)
+        stats = engine.stats()
+        assert (stats["rate_misses"], stats["rate_hits"]) == (1, 1)
 
     def test_unknown_mode_rejected(self):
         engine = SweepEngine()
@@ -246,6 +249,9 @@ class TestExecutionModes:
 
 class TestInstrumentation:
     def test_profiler_phases_accumulate(self):
+        # The application tables outlive engines; drop them so this
+        # point derives its tables (and charges sim.compile) afresh.
+        clear_summary_cache()
         engine = SweepEngine()
         engine.simulate_application("fft1k", ProcessorConfig(8, 5))
         engine.kernel_rate("convolve", ProcessorConfig(8, 5))
