@@ -11,8 +11,11 @@ agree cycle for cycle.  The ratio between them is printed and
 recorded, never gated: a ratio punishes speeding up either side.
 
 Both modes run on fresh engines with warm compile caches (the grid
-pays kernel compilation once, ever).  The analytical pass is timed
-twice — with cold summary caches (reported) and warm (gated).  Set
+pays kernel compilation once, ever).  The simulated pass starts from
+cold summary caches, so it pays program digestion and table
+derivation as well as the walk and the records.  The analytical pass
+is timed twice — with cold summary caches (reported) and warm
+(gated).  Set
 ``REPRO_BENCH_SWEEP_OUT=PATH`` to append the measured trajectory point
 as one compact envelope line — the same format CI publishes as
 ``BENCH_sweep.json``, mirroring ``BENCH_serve.json``.
@@ -65,8 +68,11 @@ ANALYTICAL_FLOOR_S = (0.04, 0.08)
 def test_sweep_analytical_vs_simulated(benchmark, archive):
     """Both modes answer the full grid under their absolute wall-time
     floors and agree point-by-point."""
-    # Warm the persistent compile caches once for both passes.
+    # Warm the persistent compile caches once for both passes, then
+    # drop the summaries and tables that warm-up filled, so the
+    # simulated pass derives them itself.
     _sweep_seconds("analytical")
+    clear_summary_cache()
     simulated_s, simulated = _sweep_seconds("simulated")
     clear_summary_cache()
     analytical_cold_s, _ = _sweep_seconds("analytical")

@@ -10,8 +10,8 @@ covers the rest.  :mod:`repro.sim.engine` is that analysis, as the one
 in-order recurrence every result comes from.  :func:`evaluate` runs it
 for one named application on one design point, from a per-application
 summary, a per-(node, clock) memory service table and per-configuration
-tables that it caches across a grid.  Sweeps, the pool workers, the API
-and the CLI all reach the engine through it.
+tables that it caches across a grid.  Sweeps, the API and the CLI all
+reach the engine through it.
 
 ``mode`` (:data:`EXECUTION_MODES`) only decides whether that call gets
 a :class:`~repro.sim.engine.Recorder`: ``"simulated"`` returns the

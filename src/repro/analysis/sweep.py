@@ -1,4 +1,4 @@
-"""Memoized, optionally parallel sweep engine for design-space studies.
+"""Memoized sweep engine for design-space studies.
 
 Every performance regeneration walks the same ``(application, config)``
 and ``(kernel, config)`` grids: Figures 13/14 compile the six suite
@@ -7,9 +7,10 @@ simulates the six applications over a ``C x N`` grid, the harmonic-mean
 speedups re-simulate the C=8/N=5 baseline, and ``validate`` runs all of
 the above.  The engine gives those studies one shared, keyed memo cache
 (simulation results and kernel rates), so each distinct point is paid
-for exactly once per process, plus an optional ``concurrent.futures``
-process-pool fan-out for cold grids — with result ordering that is
-byte-identical to a serial run either way.
+for exactly once per process.  Every grid runs in the calling process:
+on the one cached timing engine the largest grid takes under a second,
+and a process pool of two measured no faster (``docs/performance.md``,
+section 5).
 
 Instrumentation rides on the PR-1 observability layer: the engine's
 :class:`~repro.obs.profile.PhaseProfiler` accumulates per-point wall
@@ -18,15 +19,10 @@ counts cache hits/misses and observes per-point latency histograms —
 the raw material for the "profile a slow sweep" recipe in
 ``docs/performance.md``.
 
-Resilience (PR 4) rides on :mod:`repro.resilience`: the fan-out goes
-through a :class:`~repro.resilience.executor.ResilientExecutor` (per-
-task timeouts, bounded retries, serial fallback — all counted as
-``resilience.*`` metrics), named fault points let the chaos suite
-inject worker crashes/hangs/transient errors deterministically, and an
-optional :class:`~repro.resilience.checkpoint.SweepCheckpoint` persists
-every completed point so an interrupted sweep resumes without
-recomputation.  None of it changes results: a sweep that succeeds is
-bit-identical to a fault-free serial run.
+Resilience rides on :mod:`repro.resilience`: an optional
+:class:`~repro.resilience.checkpoint.SweepCheckpoint` persists every
+completed point so an interrupted sweep resumes without recomputation,
+and a resumed sweep is bit-identical to an uninterrupted one.
 
 The module-level :func:`default_engine` is what the public functions in
 :mod:`repro.analysis.perf` share; library users embedding sweeps can
@@ -44,13 +40,10 @@ from ..compiler.pipeline import compile_batch, compile_kernel
 from ..core.config import ProcessorConfig
 from ..core.params import TECH_45NM, TechnologyNode
 from ..kernels.suite import get_kernel
-from ..obs.log import get_logger, log_event
 from ..obs.metrics import MetricsRegistry
 from ..obs.profile import PhaseProfiler
 from ..obs.progress import ProgressBus, default_bus
 from ..resilience.checkpoint import SweepCheckpoint
-from ..resilience.executor import ResilientExecutor
-from ..resilience.faults import fault_point
 from ..sim.engine import Recorder
 from ..sim.metrics import SimulationResult
 from .model import EXECUTION_MODES, check_mode, evaluate
@@ -70,17 +63,8 @@ SweepPoint = Tuple[str, ProcessorConfig]
 _SimKey = Tuple[str, ProcessorConfig, TechnologyNode, float, str]
 
 
-def _simulate_point(args: Tuple[str, ProcessorConfig, TechnologyNode, float]):
-    """Process-pool worker: one cold records-mode point (module level
-    so it pickles; each worker process warms its own caches)."""
-    fault_point("sweep.point")
-    application, config, node, clock_ghz = args
-    return evaluate(application, config, node, clock_ghz, Recorder())
-
-
 class SweepEngine:
-    """Shared memo cache + fan-out for application points and kernel
-    rates.
+    """Shared memo cache for application points and kernel rates.
 
     Parameters
     ----------
@@ -90,21 +74,12 @@ class SweepEngine:
     metrics:
         Optional registry; when present the engine counts
         ``sweep.sim.{hits,misses}`` / ``sweep.rate.{hits,misses}`` and
-        observes a ``sweep.point_seconds`` histogram per cold point,
-        and the resilience machinery mirrors its ``resilience.*``
-        recovery counters here too.
+        observes a ``sweep.point_seconds`` histogram per cold point.
     checkpoint:
         Optional :class:`~repro.resilience.checkpoint.SweepCheckpoint`;
         when enabled every completed point is persisted as it lands and
         :meth:`resume` replays a prior run's points into the memo
         caches with zero recomputation.
-    task_timeout:
-        Per-task seconds before a pooled point is declared hung and
-        retried (``None`` disables; see
-        :class:`~repro.resilience.executor.ResilientExecutor`).
-    max_retries / max_pool_failures:
-        Retry budget per task and broken-pool budget before the fan-out
-        abandons pooling and finishes serially.
     progress:
         The :class:`~repro.obs.progress.ProgressBus` per-point
         completion events go to (the shared :func:`default_bus` unless
@@ -117,20 +92,12 @@ class SweepEngine:
         profiler: Optional[PhaseProfiler] = None,
         metrics: Optional[MetricsRegistry] = None,
         checkpoint: Optional[SweepCheckpoint] = None,
-        task_timeout: Optional[float] = None,
-        max_retries: int = 2,
-        max_pool_failures: int = 2,
         progress: Optional[ProgressBus] = None,
     ):
         self.profiler = profiler if profiler is not None else PhaseProfiler()
         self.metrics = metrics
         self.checkpoint = checkpoint
-        self.task_timeout = task_timeout
-        self.max_retries = max_retries
-        self.max_pool_failures = max_pool_failures
         self._progress = progress
-        self._log = get_logger("sweep")
-        self.last_executor_stats: Optional[Dict[str, int]] = None
         #: Reentrant guard: the serving daemon (and any threaded
         #: embedder) may drive one shared engine from several threads;
         #: holding the lock across a cold point also means concurrent
@@ -426,21 +393,18 @@ class SweepEngine:
             )
             return rate
 
-    # --- grid fan-out ---------------------------------------------------
+    # --- grids ----------------------------------------------------------
 
     def compile_kernels(
-        self,
-        points: Sequence[Tuple[str, ProcessorConfig]],
-        workers: Optional[int] = None,
+        self, points: Sequence[Tuple[str, ProcessorConfig]]
     ) -> List[float]:
         """Compile a (kernel, config) grid; whole-chip rates in order.
 
         The cold points go through :func:`repro.compiler.compile_batch`
-        in one call — deduplicated up front, optionally fanned out over
-        a process pool, and persisted to the on-disk schedule cache —
-        so regenerating Figure 13/14 or Table 5 compiles each unique
-        schedule at most once, ever.  Values are identical to repeated
-        :meth:`kernel_rate` calls.
+        in one call — deduplicated up front and persisted to the
+        on-disk schedule cache — so regenerating Figure 13/14 or
+        Table 5 compiles each unique schedule at most once, ever.
+        Values are identical to repeated :meth:`kernel_rate` calls.
         """
         with self._lock:
             missing: List[Tuple[str, ProcessorConfig]] = []
@@ -463,12 +427,7 @@ class SweepEngine:
                         [
                             (get_kernel(kernel), config)
                             for kernel, config in missing
-                        ],
-                        workers=workers,
-                        metrics=self.metrics,
-                        timeout=self.task_timeout,
-                        max_retries=self.max_retries,
-                        max_pool_failures=self.max_pool_failures,
+                        ]
                     )
                 for done, (key, schedule) in enumerate(
                     zip(missing, schedules), start=1
@@ -494,22 +453,14 @@ class SweepEngine:
         points: Sequence[SweepPoint],
         node: TechnologyNode = TECH_45NM,
         clock_ghz: float = 1.0,
-        workers: Optional[int] = None,
         mode: str = "simulated",
     ) -> List[SimulationResult]:
         """Simulate a grid of points; results in input order.
 
-        Cached points are served from the memo cache; the cold ones run
-        serially, or across a process pool when ``workers`` asks for
-        more than one.  Ordering and values are identical either way
-        (the simulator is deterministic), and every result lands in the
-        cache for later single-point lookups.  If the platform cannot
-        spawn worker processes the engine degrades to the serial path
-        rather than failing the sweep.
-
-        ``mode="analytical"`` asks for totals only; a process pool is
-        never spawned for analytical grids — per-point cost is far
-        below fork/pickle overhead, so the serial path always wins.
+        Cached points are served from the memo cache and the cold ones
+        run in order; every result lands in the cache for later
+        single-point lookups.  ``mode="analytical"`` asks for totals
+        only.
         """
         check_mode(mode)
         with self._lock:
@@ -528,25 +479,11 @@ class SweepEngine:
                 cached=len(points) - len(missing),
             )
             started = time.perf_counter()
-            done = 0
-            if (
-                missing and workers is not None and workers > 1
-                and mode == "simulated"
-            ):
-                done = self._fan_out(
-                    missing, node, clock_ghz, workers, started
-                )
-            for application, config in missing:
-                # Serial fill for whatever the pool did not cover (all
-                # of it when workers is None or pool startup failed).
-                key = (application, config, node, clock_ghz, mode)
-                was_cached = key in self._sim_cache
+            for done, (application, config) in enumerate(missing, start=1):
                 self.simulate_application(
                     application, config, node, clock_ghz, mode
                 )
-                if not was_cached:
-                    done += 1
-                    self._progress_event(done, len(missing), started)
+                self._progress_event(done, len(missing), started)
 
             self._publish(
                 "sweep_end",
@@ -563,84 +500,6 @@ class SweepEngine:
                 for application, config in points
             ]
 
-    def _fan_out(
-        self,
-        missing: Sequence[SweepPoint],
-        node: TechnologyNode,
-        clock_ghz: float,
-        workers: int,
-        sweep_started: Optional[float] = None,
-    ) -> int:
-        """Fill the cache for ``missing`` through the resilient pool;
-        returns how many points it completed (for progress counting).
-
-        The :class:`~repro.resilience.executor.ResilientExecutor`
-        absorbs hung/crashed workers and transient task failures with
-        retries, quarantine and serial escalation; if even that fails
-        the serial pass in :meth:`simulate_many` still computes every
-        point, so a failed fan-out only costs time, never results.
-
-        Progress events for pooled points are published here, in the
-        daemon/CLI process, as results are collected — worker processes
-        have their own (unsubscribed) bus, so parent-side publishing is
-        what keeps ``/v1/progress`` live across the fan-out.
-        """
-        fault_point("sweep.fan_out")
-        jobs = [
-            (application, config, node, clock_ghz)
-            for application, config in missing
-        ]
-        executor = ResilientExecutor(
-            min(workers, len(jobs)),
-            timeout=self.task_timeout,
-            max_retries=self.max_retries,
-            max_pool_failures=self.max_pool_failures,
-            metrics=self.metrics,
-        )
-        started = time.perf_counter()
-        if sweep_started is None:
-            sweep_started = started
-        try:
-            with self.profiler.phase("sweep.fan_out"):
-                results = executor.map(_simulate_point, jobs)
-        except (KeyboardInterrupt, SystemExit):
-            # Never absorb an interrupt into the "degraded" path: the
-            # user asked the sweep to stop, not to go serial.
-            raise
-        except Exception:
-            # Sandboxes without fork/spawn, unpicklable platforms...
-            if self.metrics is not None:
-                self.metrics.counter("sweep.fan_out.failures").inc()
-            log_event(
-                self._log, "sweep.fan_out_failed",
-                points=len(jobs), workers=workers,
-            )
-            return 0
-        finally:
-            self.last_executor_stats = executor.stats()
-        done = 0
-        for (application, config), result in zip(missing, results):
-            # The pool only ever runs records-bearing points (analytical
-            # grids stay serial), so the key's mode is fixed.
-            key = (application, config, node, clock_ghz, "simulated")
-            self._sim_cache[key] = result
-            self._count("sim", hit=False)
-            self._checkpoint_store("sim", key, result)
-            self._observe_point(
-                (time.perf_counter() - started) / len(jobs)
-            )
-            done += 1
-            self._publish(
-                "point",
-                kind="sim",
-                application=application,
-                clusters=config.clusters,
-                alus=config.alus_per_cluster,
-                pooled=True,
-            )
-            self._progress_event(done, len(missing), sweep_started)
-        return done
-
 
 def plan_shards(
     keys: Sequence[str],
@@ -648,9 +507,7 @@ def plan_shards(
 ) -> "Dict[Optional[str], List[int]]":
     """Partition sweep points into per-worker shards.
 
-    The cluster-mode sibling of the process-pool fan-out above: where
-    :meth:`SweepEngine._fan_out` hands a flat job list to one local
-    pool, this planner splits a grid into one shard per worker daemon.
+    Cluster mode splits a grid into one shard per worker daemon.
     ``keys`` are the points' :func:`repro.api.dedup_key` strings (the
     sharding identity — hashing the canonical request JSON is what
     keeps a point on the same worker across requests) and ``assign``

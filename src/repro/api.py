@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Optional, Tuple, Type, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Type, Union
 
 __all__ = [
     "API_VERSION",
@@ -63,7 +63,7 @@ __all__ = [
     "run_register",
     "run_simulate",
     "run_sweep",
-    "starts_workers",
+    "safe_execute",
     "validate_request",
 ]
 
@@ -75,15 +75,17 @@ __all__ = [
 #: ``/v1/jobs``), made ``/v1/sweeps`` the canonical sweep route (the
 #: singular alias answers with a ``Deprecation`` header for one
 #: version), and gave every error envelope an optional RFC 6901
-#: ``pointer`` alongside its stable ``code``.
-API_VERSION = 5
+#: ``pointer`` alongside its stable ``code``.  v6 removed
+#: ``SweepRequest.workers`` (every sweep runs in the answering process)
+#: and the singular ``/v1/sweep`` route; ``mode`` is still accepted.
+API_VERSION = 6
 
 #: Sweep targets :func:`run_sweep` understands.
 SWEEP_TARGETS = ("fig13", "fig14", "table5", "fig15", "headline")
 
 #: Modes simulate/sweep requests accept: ``simulated`` (totals plus
 #: per-op records) or ``analytical`` (totals only) — one engine, the
-#: same numbers; kept in API v5, and in the application-point memo and
+#: same numbers; kept in API v6, and in the application-point memo and
 #: checkpoint keys, so the two result shapes never alias (kernel
 #: studies ignore it).  Mirrors
 #: :data:`repro.analysis.model.EXECUTION_MODES` (asserted by the test
@@ -280,14 +282,13 @@ class SweepRequest(_Payload):
 
     ``target`` is one of :data:`SWEEP_TARGETS`; ``apps`` additionally
     runs the (slower) application simulations where the target supports
-    them (``headline``); ``workers`` fans cold grid points out over a
-    process pool; ``mode`` (:data:`SWEEP_MODES`) chooses per-op records
-    or totals only for application points — the rows are identical.
+    them (``headline``); ``mode`` (:data:`SWEEP_MODES`) chooses per-op
+    records or totals only for application points — the rows are
+    identical.
     """
 
     target: str = ""
     apps: bool = False
-    workers: Optional[int] = None
     mode: str = "simulated"
     #: Restrict a kernel study (fig13/fig14/table5) to one kernel — a
     #: suite name or a registered ``kernel:<hash>`` reference.  Empty
@@ -303,13 +304,6 @@ class SweepRequest(_Payload):
         _require(
             isinstance(self.apps, bool),
             "SweepRequest: apps must be a boolean",
-        )
-        _require(
-            self.workers is None
-            or (isinstance(self.workers, int)
-                and not isinstance(self.workers, bool)
-                and self.workers >= 1),
-            "SweepRequest: workers must be None or an integer >= 1",
         )
         _check_mode(self.mode, "SweepRequest")
         _require(
@@ -829,9 +823,7 @@ def run_sweep(request: SweepRequest) -> SweepResult:
     elif request.target == "fig15":
         from .analysis.perf import figure15_application_performance
 
-        for point in figure15_application_performance(
-            workers=request.workers, mode=request.mode
-        ):
+        for point in figure15_application_performance(mode=request.mode):
             rows.append(
                 {
                     "application": point.application,
@@ -914,9 +906,31 @@ def execute(request: AnyRequest) -> AnyResult:
     return runner(request)  # type: ignore[operator]
 
 
-def starts_workers(request: Any) -> bool:
-    """Whether answering ``request`` can start worker processes (a
-    sweep fanned out over ``workers > 1``).  Such processes see a
-    request id only through the environment, so the serving paths
-    export it for these requests alone."""
-    return isinstance(request, SweepRequest) and (request.workers or 0) > 1
+def safe_execute(
+    item: Tuple[Optional[str], AnyRequest],
+    runner: Callable[[AnyRequest], AnyResult] = execute,
+) -> Tuple[str, Any]:
+    """Run one ``(request_id, request)`` pair through ``runner``, never
+    raising for per-request failures.
+
+    Returns ``("ok", result)``, or ``("error", (code, message))`` with
+    code ``bad_request`` for an :class:`ApiError` and ``internal`` for
+    any other exception, so a resilient executor never burns retries on
+    deterministic failures.  The request id is bound around the run, so
+    every log line, tracer instant and progress event it emits carries
+    it.  Module-level with a module-level default runner, so the serving
+    daemon's process pool can pickle it; the cluster coordinator passes
+    its own ``execute``.
+    """
+    from .obs.log import bind_request_id
+
+    request_id, request = item
+    with bind_request_id(request_id):
+        try:
+            return ("ok", runner(request))
+        except ApiError as exc:
+            return ("error", ("bad_request", str(exc)))
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except Exception as exc:
+            return ("error", ("internal", f"{type(exc).__name__}: {exc}"))

@@ -18,8 +18,8 @@ persistent schedule cache) and ``--no-compile-cache`` (disable it).
 ``--log-level``/``--log-json`` (top-level, also on ``serve`` and
 ``loadgen``) turn on structured logging to stderr; unlogged runs emit
 nothing and stay bit-identical to previous releases.  When logging is
-on, the run gets a correlation id exported as ``REPRO_REQUEST_ID`` so
-worker processes, tracer instants, and log lines all join on it.
+on, the run gets a correlation id (``REPRO_REQUEST_ID`` when the caller
+set one, else a fresh one) that tracer instants and log lines join on.
 
 ``costs``, ``compile``, ``simulate``, ``report`` and ``headline`` take
 ``--json``: machine-readable output as one versioned envelope
@@ -116,22 +116,20 @@ def _add_logging_arguments(
 def _apply_logging_arguments(args: argparse.Namespace) -> Optional[str]:
     """Configure structured logging when asked; silent otherwise.
 
-    Enabling logging also mints a run-level correlation id unless one
-    is already inherited; :func:`main` exports it as
-    ``REPRO_REQUEST_ID`` for the command's extent, so sweep worker
-    processes and tracer instants join the run's log lines.  Returns
-    that id, or ``None`` when there is nothing to export.
+    Returns the run's correlation id: the ``REPRO_REQUEST_ID`` its
+    caller set, if any (read once, never written), else a fresh one
+    when logging is on, else ``None``.  :func:`main` binds it for the
+    command's extent, so tracer instants join the run's log lines.
     """
     from .obs.log import REQUEST_ID_ENV, configure, new_request_id
 
+    inherited = os.environ.get(REQUEST_ID_ENV) or None
     json_lines = getattr(args, "log_json", False)
     level = getattr(args, "log_level", None)
     if not json_lines and level is None:
-        return None
+        return inherited
     configure(json_lines=json_lines, level=level or "INFO")
-    if os.environ.get(REQUEST_ID_ENV):
-        return None
-    return new_request_id()
+    return inherited or new_request_id()
 
 
 def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
@@ -533,7 +531,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             targets.append("fig15")
         studies = {
             target: run_sweep(
-                SweepRequest(target, workers=args.workers, mode=args.mode)
+                SweepRequest(target, mode=args.mode)
             ).to_dict()
             for target in targets
         }
@@ -552,9 +550,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         from .analysis.perf import figure15_application_performance
 
         print("Figure 15: application performance (speedup over C=8/N=5)")
-        for point in figure15_application_performance(
-            workers=args.workers, mode=args.mode
-        ):
+        for point in figure15_application_performance(mode=args.mode):
             config = point.config
             print(f"  {point.application:10s} C={config.clusters:3d} "
                   f"N={config.alus_per_cluster:2d}  "
@@ -760,7 +756,6 @@ def cmd_job_submit(args: argparse.Namespace) -> int:
         response = client.submit_job(
             args.target,
             apps=args.apps,
-            workers=args.workers,
             mode=args.mode,
             kernel=args.kernel or "",
         )
@@ -1101,11 +1096,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rep.add_argument("--apps", action="store_true",
                      help="include the Figure 15 application sweep (slower)")
-    rep.add_argument("--workers", type=int, default=None,
-                     help="process-pool size for cold sweep points")
-    rep.add_argument("--task-timeout", type=float, default=None,
-                     help="seconds before a pooled sweep point is "
-                          "declared hung and retried")
     rep.add_argument("--json", action="store_true",
                      help="emit every study as one versioned JSON envelope")
     rep.add_argument("--mode", choices=("simulated", "analytical"),
@@ -1233,8 +1223,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "table5, headline)")
     jsubmit.add_argument("--apps", action="store_true",
                          help="include application simulations")
-    jsubmit.add_argument("--workers", type=int, default=None,
-                         help="sweep executor width on the daemon")
     jsubmit.add_argument("--mode", choices=("simulated", "analytical"),
                          default="simulated",
                          help="records (simulated) or totals only "
@@ -1307,16 +1295,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     request_id = _apply_logging_arguments(args)
     scope = (
-        bind_request_id(request_id, propagate_env=True)
+        bind_request_id(request_id)
         if request_id is not None else nullcontext()
     )
     with scope:
         _apply_cache_arguments(args)
         _apply_checkpoint_arguments(args)
-        if getattr(args, "task_timeout", None) is not None:
-            from .analysis.sweep import default_engine
-
-            default_engine().task_timeout = args.task_timeout
         return args.func(args)
 
 

@@ -24,8 +24,8 @@ Pieces:
 Failure semantics: a dead or hung worker's in-flight points requeue on
 the surviving ring (bounded rounds through the resilience backoff
 ladder), and whatever still fails is computed locally — degraded means
-slower, never different, the same invariant the process-pool fan-out
-holds.
+slower, never different, the same invariant the daemon's resilient
+batch pool holds.
 """
 
 from .coordinator import ClusterCoordinator, expand_sweep_points

@@ -50,10 +50,8 @@ from ..api import (
     SweepRequest,
     dedup_key,
     execute,
-    starts_workers,
 )
-from ..obs.log import bind_request_id, current_request_id, get_logger, \
-    log_event
+from ..obs.log import current_request_id, get_logger, log_event
 from ..obs.metrics import MetricsRegistry
 from ..obs.progress import ProgressBus, default_bus
 from ..resilience.faults import fault_point
@@ -339,32 +337,12 @@ class ClusterCoordinator:
 
     # --- execution ------------------------------------------------------
 
-    def safe_execute(
-        self, item: Tuple[Optional[str], AnyRequest]
-    ) -> Tuple[str, Any]:
-        """The cluster twin of the daemon's ``_safe_execute``: one
-        ``(request_id, request)`` pair to an ``(ok|error, ...)``
-        outcome, never raising for per-request failures."""
-        request_id, request = item
-        with bind_request_id(
-            request_id,
-            propagate_env=request_id is not None and starts_workers(request),
-        ):
-            try:
-                return ("ok", self.execute(request))
-            except ApiError as exc:
-                return ("error", ("bad_request", str(exc)))
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as exc:
-                return ("error", ("internal", f"{type(exc).__name__}: {exc}"))
-
     def execute(self, request: AnyRequest) -> AnyResult:
         """Answer one API request through the fleet (or locally).
 
         Sharding policy: simulated-mode sweeps with a live fleet shard;
-        analytical sweeps run locally (per-point cost is microseconds —
-        the same reasoning that keeps them off the process pool);
+        analytical sweeps run locally (per-point cost is microseconds,
+        below one HTTP round trip);
         compile/simulate route to their ring owner; cost queries are
         local arithmetic.
         """

@@ -14,8 +14,7 @@ Compilation results are cached at two levels:
   notebook restarts) reuse schedules compiled by earlier ones.
 
 :func:`compile_batch` compiles whole (kernel, config) grids at once:
-duplicates are deduplicated before any work is done, and cold points can
-fan out over a process pool.
+duplicates are deduplicated before any work is done.
 """
 
 from __future__ import annotations
@@ -193,136 +192,28 @@ def compile_kernel(
 
 def compile_batch(
     jobs: Sequence[CompileJob],
-    workers: Optional[int] = None,
     verify: bool = True,
     alu_mix: Optional[Dict[str, float]] = None,
     cache: Optional[ScheduleCache] = None,
-    metrics=None,
-    timeout: Optional[float] = None,
-    max_retries: int = 2,
-    max_pool_failures: int = 2,
 ) -> List[KernelSchedule]:
     """Compile a grid of (kernel, config) jobs; results in input order.
 
     Identical jobs are deduplicated *before* any compilation happens, so
     a full Figure-13/14/15 + Table 5 regeneration compiles each unique
-    schedule exactly once; pass ``workers`` to fan the cold uniques out
-    over a resilient process pool (each worker shares the persistent
-    cache directory, so its work is reused by every later process too).
-    Hung or crashed workers and transient task failures are retried and
-    quarantined by the :class:`~repro.resilience.executor.\
-ResilientExecutor` (``timeout`` / ``max_retries`` /
-    ``max_pool_failures``; recovery actions land in ``metrics`` as
-    ``resilience.*`` counters), and anything the pool still fails to
-    produce is compiled serially below.  The returned schedules are
-    byte-identical to serial ``compile_kernel`` calls, and every result
-    lands in the in-memory cache.
+    schedule exactly once.  The returned schedules are the ones serial
+    ``compile_kernel`` calls return, and every result lands in the
+    in-memory cache.
     """
+    results: Dict[Tuple[int, ProcessorConfig], KernelSchedule] = {}
     order: List[Tuple[int, ProcessorConfig]] = []
-    unique: Dict[Tuple[int, ProcessorConfig], CompileJob] = {}
     for kernel, config in jobs:
         dedup = (id(kernel), config)
-        if dedup not in unique:
-            unique[dedup] = (kernel, config)
-        order.append(dedup)
-
-    results: Dict[Tuple[int, ProcessorConfig], KernelSchedule] = {}
-    if workers is not None and workers > 1:
-        cold = [
-            dedup
-            for dedup, (kernel, config) in unique.items()
-            if _memo_lookup(kernel, config, alu_mix) is None
-        ]
-        if len(cold) > 1:
-            pooled = _compile_fan_out(
-                [unique[dedup] for dedup in cold],
-                workers,
-                alu_mix,
-                metrics=metrics,
-                timeout=timeout,
-                max_retries=max_retries,
-                max_pool_failures=max_pool_failures,
-            )
-            for dedup, schedule in zip(cold, pooled):
-                if schedule is not None:
-                    kernel, config = unique[dedup]
-                    _memo_store(kernel, config, alu_mix, schedule)
-                    results[dedup] = schedule
-
-    for dedup, (kernel, config) in unique.items():
         if dedup not in results:
             results[dedup] = compile_kernel(
                 kernel, config, verify=verify, alu_mix=alu_mix, cache=cache
             )
+        order.append(dedup)
     return [results[dedup] for dedup in order]
-
-
-def _compile_fan_out(
-    jobs: Sequence[CompileJob],
-    workers: int,
-    alu_mix: Optional[Dict[str, float]],
-    metrics=None,
-    timeout: Optional[float] = None,
-    max_retries: int = 2,
-    max_pool_failures: int = 2,
-) -> List[Optional[KernelSchedule]]:
-    """Compile ``jobs`` on a resilient pool; ``None`` entries on failure.
-
-    Worker crashes, hangs and transient errors are absorbed by the
-    executor's retry/quarantine/serial-fallback ladder; platforms that
-    cannot run pools at all degrade to an all-``None`` result — the
-    serial pass in :func:`compile_batch` still compiles every job, so a
-    failed pool only costs time, never results.  ``KeyboardInterrupt``
-    and ``SystemExit`` are deliberately *not* absorbed: an interrupted
-    compile must stop, not limp on serially.
-    """
-    from ..resilience.executor import ResilientExecutor
-
-    payloads = [(kernel, config, alu_mix) for kernel, config in jobs]
-    executor = ResilientExecutor(
-        min(workers, len(payloads)),
-        timeout=timeout,
-        max_retries=max_retries,
-        max_pool_failures=max_pool_failures,
-        metrics=metrics,
-    )
-    try:
-        return list(executor.map(_compile_job, payloads))
-    except (KeyboardInterrupt, SystemExit):
-        raise
-    except Exception:
-        return [None] * len(payloads)
-
-
-def _compile_job(
-    args: Tuple[KernelGraph, ProcessorConfig, Optional[Dict[str, float]]],
-) -> KernelSchedule:
-    """Process-pool worker: one compile (module level so it pickles)."""
-    fault_point("compile.point")
-    kernel, config, alu_mix = args
-    return compile_kernel(kernel, config, alu_mix=alu_mix)
-
-
-def _memo_lookup(
-    kernel: KernelGraph,
-    config: ProcessorConfig,
-    alu_mix: Optional[Dict[str, float]],
-) -> Optional[KernelSchedule]:
-    machine = build_machine(config, alu_mix)
-    unroll_factor = choose_unroll_factor(kernel, machine)
-    return _CACHE.get(_cache_key(kernel, machine, unroll_factor))
-
-
-def _memo_store(
-    kernel: KernelGraph,
-    config: ProcessorConfig,
-    alu_mix: Optional[Dict[str, float]],
-    schedule: KernelSchedule,
-) -> None:
-    machine = build_machine(config, alu_mix)
-    unroll_factor = choose_unroll_factor(kernel, machine)
-    _CACHE[_cache_key(kernel, machine, unroll_factor)] = schedule
-    _CACHE_KERNELS[id(kernel)] = kernel  # pin to keep ids unique
 
 
 def _search_ii(

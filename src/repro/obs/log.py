@@ -14,11 +14,10 @@ daemon mints one per HTTP request (or adopts the client's
 ``X-Request-Id``), binds it around the work, and every log line,
 tracer instant event, and progress-bus event emitted inside that scope
 carries it — one grep joins all three.  Ids cross process boundaries
-the same way fault plans do (the ``REPRO_FAULT_PLAN`` precedent):
-:func:`bind_request_id` can export ``REPRO_REQUEST_ID`` so pool
-workers inherit the id of the run that spawned them, and
-:func:`current_request_id` falls back to that variable when no
-context-local id is bound.
+only as data: the ``X-Request-Id`` header between daemons, and the
+``(request_id, request)`` batch item a pool worker runs.  Nothing here
+writes the environment; the CLI reads ``REPRO_REQUEST_ID`` once at
+start to adopt an id its caller chose.
 
 Nothing here runs unless configured: the ``repro`` logger gets a
 ``NullHandler`` and ``propagate=False`` at import, so a run without
@@ -32,7 +31,6 @@ import contextlib
 import contextvars
 import json
 import logging
-import os
 import re
 import sys
 import uuid
@@ -56,8 +54,8 @@ __all__ = [
 #: Bumped whenever a line field is added, removed, or changes meaning.
 LOG_SCHEMA_VERSION = 1
 
-#: Environment variable carrying the bound request id to subprocesses
-#: (the ``REPRO_FAULT_PLAN`` propagation pattern).
+#: Environment variable through which a caller hands the CLI a request
+#: id to adopt (read once at start, never written).
 REQUEST_ID_ENV = "REPRO_REQUEST_ID"
 
 #: Root of the logging hierarchy every repro component logs under.
@@ -103,43 +101,18 @@ def sanitize_request_id(raw: str, max_length: int = 64) -> str:
 
 
 def current_request_id() -> Optional[str]:
-    """The bound request id: context-local first, then the environment
-    (worker processes inherit ``REPRO_REQUEST_ID`` from their parent)."""
-    bound = _request_id.get()
-    if bound is not None:
-        return bound
-    return os.environ.get(REQUEST_ID_ENV) or None
+    """The request id bound in the current context, if any."""
+    return _request_id.get()
 
 
 @contextlib.contextmanager
-def bind_request_id(
-    request_id: Optional[str], propagate_env: bool = False
-) -> Iterator[Optional[str]]:
-    """Bind ``request_id`` for the dynamic extent of the ``with`` block.
-
-    ``propagate_env`` additionally exports ``REPRO_REQUEST_ID`` so
-    worker *processes* spawned inside the block inherit the id (fork or
-    spawn — same mechanism as ``REPRO_FAULT_PLAN``).  Environment
-    mutation is process-global, so only single-request scopes (CLI
-    invocations, one-shot sweeps) and requests that start worker
-    processes should propagate.
-    """
+def bind_request_id(request_id: Optional[str]) -> Iterator[Optional[str]]:
+    """Bind ``request_id`` for the dynamic extent of the ``with`` block."""
     token = _request_id.set(request_id)
-    previous = os.environ.get(REQUEST_ID_ENV)
-    if propagate_env:
-        if request_id is None:
-            os.environ.pop(REQUEST_ID_ENV, None)
-        else:
-            os.environ[REQUEST_ID_ENV] = request_id
     try:
         yield request_id
     finally:
         _request_id.reset(token)
-        if propagate_env:
-            if previous is None:
-                os.environ.pop(REQUEST_ID_ENV, None)
-            else:
-                os.environ[REQUEST_ID_ENV] = previous
 
 
 class JsonLinesFormatter(logging.Formatter):

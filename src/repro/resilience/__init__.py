@@ -1,13 +1,14 @@
-"""Fault injection and resilient execution for the sweep machinery.
+"""Fault injection and resilient execution for the execution layer.
 
-Three pieces, threaded through the sweep engine, the compile pipeline
-and the simulator (see ``docs/robustness.md``):
+Four pieces, threaded through the compile pipeline, the timing engine,
+the serving daemon and the cluster coordinator (see
+``docs/robustness.md``):
 
 * :mod:`repro.resilience.faults`     — deterministic, seed-driven
   :class:`FaultPlan`/:class:`FaultInjector` with named fault points
   (``REPRO_FAULT_PLAN`` env knob).
 * :mod:`repro.resilience.executor`   — :class:`ResilientExecutor`, the
-  process-pool fan-out with per-task timeouts, bounded retries,
+  serving daemon's batch pool with per-task timeouts, bounded retries,
   dead-worker quarantine, and serial fallback.
 * :mod:`repro.resilience.checkpoint` — :class:`SweepCheckpoint`, the
   atomic/versioned/checksummed store that lets interrupted sweeps

@@ -1,8 +1,8 @@
 """Resilient process-pool fan-out: timeouts, retries, serial fallback.
 
-:class:`ResilientExecutor` is the hardened replacement for the bare
-``ProcessPoolExecutor.map`` fan-outs the sweep engine and the compile
-batcher used: it keeps a grid run alive through hung workers (per-task
+:class:`ResilientExecutor` is a hardened ``ProcessPoolExecutor.map``;
+the serving daemon runs its batches on one (``repro serve --workers``).
+It keeps a batch alive through hung workers (per-task
 timeouts), crashed workers (broken pools are quarantined and rebuilt),
 and transient task exceptions (bounded exponential-backoff retries),
 and when the pool machinery itself keeps failing it degrades to serial
@@ -79,7 +79,7 @@ class ResilientExecutor:
         (deterministic: no jitter, so chaos runs are reproducible).
     persistent:
         Keep the process pool alive *between* :meth:`map` calls.  A
-        one-shot sweep pays pool startup once and tears it down; a
+        one-shot map pays pool startup once and tears it down; a
         long-running server calling :meth:`map` per micro-batch would
         pay it per batch, so persistent mode reuses one warm pool until
         :meth:`close` (retired pools — broken or hung — are still

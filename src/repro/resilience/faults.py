@@ -1,12 +1,13 @@
 """Deterministic, seed-driven fault injection for the execution layer.
 
-The paper's headline sweeps now fan out over process pools and persist
-results in on-disk caches — exactly the machinery that fails in
-production: workers crash or hang, transient exceptions fire, cache
-entries rot on disk, allocations fail.  This module makes every one of
-those failures *injectable on demand* at named fault points, so the
-chaos suite can prove the recovery paths keep results bit-identical to
-a fault-free serial run.
+The serving daemon runs batches on a process pool, the cluster fleet
+sends points to worker daemons, and every sweep persists results in
+on-disk caches — exactly the machinery that fails in production:
+workers crash or hang, transient exceptions fire, cache entries rot on
+disk, allocations fail.  This module makes every one of those failures
+*injectable on demand* at named fault points, so the chaos suite can
+prove the recovery paths keep results bit-identical to a fault-free
+serial run.
 
 Model
 -----
@@ -87,9 +88,6 @@ FAULT_KINDS = ("transient", "crash", "hang", "oom", "corrupt")
 #: rules are validated against it unless they use a glob, and
 #: ``docs/robustness.md`` renders this table.
 FAULT_SITES: Dict[str, str] = {
-    "sweep.fan_out": "SweepEngine._fan_out, before the pool is built",
-    "sweep.point": "sweep process-pool worker, one simulation task",
-    "compile.point": "compile process-pool worker, one compile task",
     "compile.kernel": "compile_kernel, before the II search",
     "cache.load": "ScheduleCache.load, before reading an entry (path)",
     "cache.store": "ScheduleCache.store, after writing an entry (path)",
@@ -304,19 +302,16 @@ _ENV_CHECKED = False
 _IN_WORKER = False
 
 
-def install_plan(
-    plan: FaultPlan, propagate_env: bool = True
-) -> FaultInjector:
+def install_plan(plan: FaultPlan) -> FaultInjector:
     """Activate ``plan`` process-wide; returns the live injector.
 
-    With ``propagate_env`` the plan is also exported as
-    ``REPRO_FAULT_PLAN`` so pool workers (fork *or* spawn) inherit it.
+    The plan is also exported as ``REPRO_FAULT_PLAN`` so pool workers
+    and worker daemons (fork *or* spawn) inherit it.
     """
     global _INJECTOR, _ENV_CHECKED
     _INJECTOR = FaultInjector(plan)
     _ENV_CHECKED = True
-    if propagate_env:
-        os.environ[PLAN_ENV] = plan.to_json()
+    os.environ[PLAN_ENV] = plan.to_json()
     return _INJECTOR
 
 

@@ -34,9 +34,8 @@ from ..api import (
 
 __all__ = ["ServeClient", "ServeConnectionError", "ServeResponse"]
 
-#: Request kinds whose canonical route is spelled differently from the
-#: payload kind (API v5 made collection routes plural; the singular
-#: route still answers, with a ``Deprecation`` header).
+#: Request kinds whose route is spelled differently from the payload
+#: kind (the sweep route is plural: ``/v1/sweeps``).
 _CANONICAL_ROUTES = {"sweep": "sweeps"}
 
 
@@ -296,7 +295,6 @@ class ServeClient:
         self,
         target: str,
         apps: bool = False,
-        workers: Optional[int] = None,
         mode: str = "simulated",
         kernel: str = "",
         request_id: Optional[str] = None,
@@ -308,7 +306,9 @@ class ServeClient:
         """
         return self.post(
             "sweep",
-            SweepRequest(target, apps, workers, mode, kernel).to_dict(),
+            SweepRequest(
+                target=target, apps=apps, mode=mode, kernel=kernel
+            ).to_dict(),
             request_id,
         )
 
@@ -356,7 +356,6 @@ class ServeClient:
         self,
         target: str,
         apps: bool = False,
-        workers: Optional[int] = None,
         mode: str = "simulated",
         kernel: str = "",
         request_id: Optional[str] = None,
@@ -367,7 +366,9 @@ class ServeClient:
         poll :meth:`job_status` or stream :meth:`job_events` with its
         ``job_id``.
         """
-        sweep = SweepRequest(target, apps, workers, mode, kernel)
+        sweep = SweepRequest(
+            target=target, apps=apps, mode=mode, kernel=kernel
+        )
         return self.request(
             "POST",
             "/v1/jobs",

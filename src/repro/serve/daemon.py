@@ -11,7 +11,7 @@ answers every :mod:`repro.api` request kind over a tiny JSON protocol:
 * ``POST /v1/costs`` — :class:`repro.api.CostQuery`
 * ``POST /v1/compile`` — :class:`repro.api.CompileRequest`
 * ``POST /v1/simulate`` — :class:`repro.api.SimulateRequest`
-* ``POST /v1/sweep`` — :class:`repro.api.SweepRequest`
+* ``POST /v1/sweeps`` — :class:`repro.api.SweepRequest`
 * ``POST /v1/kernels`` — :class:`repro.api.RegisterKernelRequest`
   (register a user kernel document; idempotent by content hash)
 * ``GET  /v1/kernels`` — registered-kernel summaries
@@ -85,9 +85,8 @@ from ..api import (
     JobRequest,
     REQUEST_KINDS,
     dedup_key,
-    execute,
     request_from_dict,
-    starts_workers,
+    safe_execute,
 )
 from ..obs.log import (
     bind_request_id,
@@ -150,14 +149,11 @@ ERROR_CODES = {
 #: Executor-outcome error codes to HTTP statuses.
 _ERROR_STATUS = {"bad_request": 400, "internal": 500}
 
-#: Old route to canonical successor: still answered, with a
-#: ``Deprecation`` header and a ``Link rel="successor-version"``, for
-#: one API version (v5 deprecates, v6 removes).
-_DEPRECATED_ROUTES = {"/v1/sweep": "/v1/sweeps"}
-
-#: Canonical-route path segments to request-kind names (the payload
-#: kinds keep their singular envelope spelling).
-_ROUTE_ALIASES = {"sweeps": "sweep"}
+#: ``/v1/<segment>`` routes to request-kind names: the sweep route is
+#: plural, its payload kind keeps the singular envelope spelling.
+_ROUTE_KINDS = {
+    ("sweeps" if kind == "sweep" else kind): kind for kind in REQUEST_KINDS
+}
 
 
 @dataclass(frozen=True)
@@ -197,40 +193,6 @@ class ServerConfig:
     #: this next to the sweep checkpoints; in-process test servers
     #: stay memory-only).
     job_dir: Optional[str] = None
-
-
-def _safe_execute(item: Tuple[Optional[str], Any]) -> Tuple[str, Any]:
-    """Run one ``(request_id, request)`` pair, never raising for
-    per-request failures.
-
-    Module-level and picklable so the persistent process pool can run
-    it; deterministic failures (bad names, internal bugs) come back as
-    ``("error", (code, message))`` outcomes instead of exceptions, so
-    the resilient executor never burns retries on them — its retry
-    machinery stays reserved for genuine pool crashes and hangs.
-
-    The request id is bound around the execution so every log line,
-    tracer instant, and progress event the computation emits carries
-    it.  Requests that can start worker processes
-    (:func:`repro.api.starts_workers`) also export it to the
-    environment, the ``REPRO_FAULT_PLAN`` propagation pattern, so
-    sweep fan-out workers carry it too; the others leave the
-    environment alone (every distinct value set there stays allocated
-    for the life of the process).
-    """
-    request_id, request = item
-    with bind_request_id(
-        request_id,
-        propagate_env=request_id is not None and starts_workers(request),
-    ):
-        try:
-            return ("ok", execute(request))
-        except ApiError as exc:
-            return ("error", ("bad_request", str(exc)))
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:
-            return ("error", ("internal", f"{type(exc).__name__}: {exc}"))
 
 
 class ReproServer:
@@ -329,8 +291,11 @@ class ReproServer:
             # cluster (sweeps shard over workers, points go to their
             # ring owner).  Sequential per batch — the parallelism
             # lives inside the sharded dispatch.
-            return [self.coordinator.safe_execute(item) for item in items]
-        return self.executor.map(_safe_execute, items)
+            return [
+                safe_execute(item, self.coordinator.execute)
+                for item in items
+            ]
+        return self.executor.map(safe_execute, items)
 
     # --- lifecycle ------------------------------------------------------
 
@@ -500,16 +465,9 @@ class ReproServer:
                 keep_alive = (
                     headers.get("connection", "").lower() != "close"
                 )
-                extra_headers = [f"X-Request-Id: {request_id}"]
-                successor = _DEPRECATED_ROUTES.get(base_path)
-                if successor is not None:
-                    extra_headers.append("Deprecation: true")
-                    extra_headers.append(
-                        f'Link: <{successor}>; rel="successor-version"'
-                    )
                 await self._write_response(
                     writer, status, payload, keep_alive,
-                    extra_headers=extra_headers,
+                    extra_headers=[f"X-Request-Id: {request_id}"],
                 )
                 if not keep_alive:
                     break
@@ -597,9 +555,11 @@ class ReproServer:
             method=method, path=path, status=status,
             duration_ms=round(elapsed * 1000.0, 3),
         )
-        kind = path[len("/v1/"):] if path.startswith("/v1/") else None
-        kind = _ROUTE_ALIASES.get(kind, kind)
-        if kind in REQUEST_KINDS and request_id is not None:
+        kind = (
+            _ROUTE_KINDS.get(path[len("/v1/"):])
+            if path.startswith("/v1/") else None
+        )
+        if kind is not None and request_id is not None:
             self._finished.append((request_id, tenant, status))
             self._bus.publish(
                 "request_end",
@@ -723,9 +683,8 @@ class ReproServer:
             if path.startswith("/v1/jobs/"):
                 return self._handle_job_route(method, path, api_key)
             if path.startswith("/v1/"):
-                kind = path[len("/v1/"):]
-                kind = _ROUTE_ALIASES.get(kind, kind)
-                if kind in REQUEST_KINDS:
+                kind = _ROUTE_KINDS.get(path[len("/v1/"):])
+                if kind is not None:
                     if method != "POST":
                         return self._error(
                             path, 405, "method_not_allowed", "use POST"

@@ -20,8 +20,7 @@ via the coordinator (which seeds the local memo with the result), so
 jobs shard over the fleet exactly like synchronous sweeps.
 
 Analytical-mode jobs skip the per-point walk — their whole grid costs
-milliseconds, the same reasoning that keeps them off the process pool
-— and run as one assembly step.
+milliseconds — and run as one assembly step.
 
 State machine (persisted per transition, one atomic JSON file per job
 under the job directory)::
@@ -56,6 +55,7 @@ from ..api import (
     JobStatus,
     SweepRequest,
     SweepResult,
+    safe_execute,
 )
 from ..obs.log import bind_request_id, get_logger, log_event
 from .tenancy import FairShareScheduler, Tenant, TenantRegistry
@@ -68,7 +68,8 @@ __all__ = [
 ]
 
 #: Bump when the persisted job layout changes (old files are skipped).
-STORE_SCHEMA_VERSION = 1
+#: v2: the persisted sweep lost ``workers`` (API v6).
+STORE_SCHEMA_VERSION = 2
 
 #: Legal state changes.  Terminal states have no entry: they are final.
 TRANSITIONS: Dict[str, Tuple[str, ...]] = {
@@ -449,7 +450,7 @@ class JobManager:
 
     def _finish_assembly(self, record: JobRecord) -> bool:
         """Assemble the final rows (all memo hits for simulated jobs)."""
-        with bind_request_id(record.job_id, propagate_env=True):
+        with bind_request_id(record.job_id):
             try:
                 result = self._run_assemble(record.sweep)
             except ApiError as exc:
@@ -526,8 +527,7 @@ class JobManager:
 
     def _points_for(self, sweep: SweepRequest) -> List[Any]:
         """The per-point walk; analytical grids run whole (they cost
-        milliseconds — the same reasoning that keeps them off the
-        process pool)."""
+        milliseconds)."""
         if sweep.mode != "simulated":
             return []
         from ..cluster.coordinator import expand_sweep_points
@@ -539,7 +539,7 @@ class JobManager:
         path lands the result in the local engine memo + checkpoint."""
         try:
             if self._point_runner is not None:
-                with bind_request_id(record.job_id, propagate_env=True):
+                with bind_request_id(record.job_id):
                     self._point_runner(point)
                 return True, ""
             coordinator = self.coordinator
@@ -547,15 +547,15 @@ class JobManager:
                 coordinator is not None
                 and coordinator.membership.alive()
             ):
-                status, value = coordinator.safe_execute(
-                    (record.job_id, point)
+                status, value = safe_execute(
+                    (record.job_id, point), coordinator.execute
                 )
                 if status != "ok":
                     return False, str(value[1])
                 return True, ""
             from ..cluster.coordinator import compute_point_locally
 
-            with bind_request_id(record.job_id, propagate_env=True):
+            with bind_request_id(record.job_id):
                 compute_point_locally(point)
             return True, ""
         except ApiError as exc:

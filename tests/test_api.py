@@ -38,7 +38,7 @@ class TestRoundTrips:
         CompileRequest("fft", 8, 5),
         SimulateRequest("fft1k", 8, 5, 1.5, 2_000_000),
         SimulateRequest("fft1k", 8, 5, mode="analytical"),
-        SweepRequest("table5", apps=False, workers=2),
+        SweepRequest("table5", apps=False, kernel="fft"),
         SweepRequest("fig13", mode="analytical"),
     )
 
@@ -178,7 +178,14 @@ class TestRunners:
         # 4: kernel registration (RegisterKernelRequest/KernelRef) and
         # SweepRequest.kernel.  5: the async job surface (/v1/jobs),
         # the canonical /v1/sweeps route, and error-envelope pointers.
-        assert API_VERSION == 5
+        # 6: SweepRequest.workers and the /v1/sweep alias removed.
+        assert API_VERSION == 6
+
+    def test_sweep_workers_field_is_gone(self):
+        # API v6: sweeps run in the answering process; a v5 payload
+        # that still sends ``workers`` is told so, not silently obeyed.
+        with pytest.raises(ApiError, match="unknown field.*workers"):
+            SweepRequest.from_dict({"target": "fig13", "workers": 2})
 
 
 class TestExecutionModes:

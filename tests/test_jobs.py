@@ -13,8 +13,8 @@ Four walls:
 * **Route semantics** — an in-process daemon (open and closed mode):
   202 lifecycle, byte-identical results vs the synchronous sweep
   route, typed error envelopes (401/403/404/409/429), tenant
-  isolation, deprecated-route headers, and tenant-namespaced progress
-  replay.
+  isolation, the removed singular sweep route, and tenant-namespaced
+  progress replay.
 * **Crash resume** — a real ``python -m repro serve`` process is
   SIGKILLed mid-sweep; the restarted daemon re-queues the job from the
   store, replays checkpointed points as memo hits, and produces a
@@ -506,6 +506,22 @@ class TestJobStorePersistence:
         (tmp_path / "notes.txt").write_text("ignored")
         assert store.load_all() == []
 
+    def test_v1_job_files_are_skipped(self, tmp_path):
+        """Schema 1 files persisted the sweep with ``workers`` (API v5);
+        schema 2 skips them instead of failing to parse them."""
+        from repro.serve.jobs import STORE_SCHEMA_VERSION
+
+        assert STORE_SCHEMA_VERSION == 2
+        store = JobStore(tmp_path)
+        record = JobRecord(job_id="job-v1", tenant="public",
+                           sweep=SweepRequest("fig13", kernel="fft"))
+        old = dict(record.to_persist(), schema_version=1)
+        old["sweep"] = dict(old["sweep"], workers=None)
+        (tmp_path / "job-v1.json").write_text(json.dumps(old))
+        assert store.load_all() == []
+        store.save(record)
+        assert [r.job_id for r in store.load_all()] == ["job-v1"]
+
     def test_memory_only_store_is_noop(self):
         store = JobStore(None)
         assert not store.enabled
@@ -805,21 +821,23 @@ class TestJobRoutesClosedMode:
             assert replay("key-carol") == []
 
 
-class TestDeprecatedRoutes:
-    def test_singular_sweep_route_answers_with_deprecation(
-        self, no_checkpoint
-    ):
+class TestRemovedRoutes:
+    def test_singular_sweep_route_is_not_found(self, no_checkpoint):
+        """API v6 removed the ``/v1/sweep`` alias that v5 deprecated;
+        ``/v1/sweeps`` (and the client's ``"sweep"`` kind) still work."""
         with running_server() as server:
             with ServeClient("127.0.0.1", server.port) as client:
                 body = SweepRequest("fig13", mode="analytical",
                                     kernel="fft").to_dict()
                 old = client.request("POST", "/v1/sweep", body)
                 new = client.request("POST", "/v1/sweeps", body)
-                assert old.status == new.status == 200
-                assert old.headers.get("deprecation") == "true"
-                assert "/v1/sweeps" in old.headers.get("link", "")
+                via_kind = client.post("sweep", body)
+                assert old.status == 404
+                assert old.error["code"] == "not_found"
+                assert "deprecation" not in old.headers
+                assert new.status == via_kind.status == 200
                 assert "deprecation" not in new.headers
-                assert _canonical(old.data) == _canonical(new.data)
+                assert _canonical(new.data) == _canonical(via_kind.data)
 
 
 # --- crash resume -------------------------------------------------------

@@ -1,5 +1,5 @@
 """Tests for structured logging and request correlation
-(:mod:`repro.obs.log`): schema round-trips, context/env id binding,
+(:mod:`repro.obs.log`): schema round-trips, context id binding,
 header sanitization, idempotent configuration, and the bit-identity
 guarantee that unlogged runs emit not a single extra byte.
 """
@@ -78,21 +78,18 @@ class TestRequestIds:
             assert current_request_id() == "outer"
         assert current_request_id() is None
 
-    def test_bind_propagate_env_sets_and_restores(self):
-        with bind_request_id("rid-env", propagate_env=True):
-            assert os.environ[REQUEST_ID_ENV] == "rid-env"
-        assert REQUEST_ID_ENV not in os.environ
+    def test_bind_never_touches_the_environment(self, monkeypatch):
+        with bind_request_id("rid-env"):
+            assert REQUEST_ID_ENV not in os.environ
+        monkeypatch.setenv(REQUEST_ID_ENV, "caller-rid")
+        with bind_request_id("other-rid"):
+            assert os.environ[REQUEST_ID_ENV] == "caller-rid"
+        assert os.environ[REQUEST_ID_ENV] == "caller-rid"
 
-    def test_bind_propagate_env_restores_previous(self, monkeypatch):
-        monkeypatch.setenv(REQUEST_ID_ENV, "parent-rid")
-        with bind_request_id("child-rid", propagate_env=True):
-            assert os.environ[REQUEST_ID_ENV] == "child-rid"
-        assert os.environ[REQUEST_ID_ENV] == "parent-rid"
-
-    def test_env_fallback_for_worker_processes(self, monkeypatch):
+    def test_environment_is_not_a_fallback(self, monkeypatch):
+        # Only the CLI reads the variable (once, at start); library
+        # code sees an id only where one is bound.
         monkeypatch.setenv(REQUEST_ID_ENV, "inherited-rid")
-        assert current_request_id() == "inherited-rid"
-        monkeypatch.setenv(REQUEST_ID_ENV, "")
         assert current_request_id() is None
 
 
@@ -199,22 +196,43 @@ class TestBitIdentity:
         assert main(["costs", "-c", "8", "-n", "5"]) == 0
         assert REQUEST_ID_ENV not in os.environ
 
-    def test_cli_logging_exports_id_only_while_main_runs(
-        self, capsys, monkeypatch
-    ):
-        """A logged run exports its correlation id for the command's
-        extent only; afterwards nothing (e.g. a tracer instant) sees it."""
+    def test_cli_logging_never_exports_the_id(self, capsys, monkeypatch):
+        """A logged run binds its correlation id for the command's
+        extent and never writes it to the environment; afterwards
+        nothing (e.g. a tracer instant) sees it."""
         from repro import cli
         from repro.obs.tracer import Tracer
 
         seen = []
         monkeypatch.setattr(
             cli, "cmd_costs",
-            lambda args: seen.append(os.environ.get(REQUEST_ID_ENV)) or 0,
+            lambda args: seen.append(
+                (current_request_id(), os.environ.get(REQUEST_ID_ENV))
+            ) or 0,
         )
         assert main(["--log-json", "costs"]) == 0
-        assert seen and seen[0]
+        assert len(seen) == 1
+        bound, exported = seen[0]
+        assert bound and exported is None
         assert REQUEST_ID_ENV not in os.environ
         tracer = Tracer()
         tracer.instant("events", "after", 0)
         assert "request_id" not in dict(tracer.instants[0].detail)
+
+    @pytest.mark.parametrize("flags", ([], ["--log-json"]))
+    def test_cli_adopts_the_callers_id(self, capsys, monkeypatch, flags):
+        """An id the caller set in the environment is read once and
+        bound for the run, with or without logging; it is never
+        rewritten."""
+        from repro import cli
+
+        seen = []
+        monkeypatch.setattr(
+            cli, "cmd_costs",
+            lambda args: seen.append(current_request_id()) or 0,
+        )
+        monkeypatch.setenv(REQUEST_ID_ENV, "caller-rid")
+        assert main([*flags, "costs"]) == 0
+        assert seen == ["caller-rid"]
+        assert os.environ[REQUEST_ID_ENV] == "caller-rid"
+        assert current_request_id() is None

@@ -294,7 +294,7 @@ class TestEnvelope:
         assert envelope["ok"] is True
         assert envelope["kind"] == "costs"
         assert envelope["envelope_version"] == 1
-        assert envelope["api_version"] == 5
+        assert envelope["api_version"] == 6
         assert envelope["tool"]["name"] == "repro"
 
     def test_error_envelope(self):

@@ -2,9 +2,8 @@
 
 Covers the :mod:`repro.resilience` package directly — plan semantics,
 executor recovery ladders, checkpoint storage — plus the regression
-guarantees the satellites demand: interrupts are never retried, and the
-sweep/compile fan-out paths propagate them instead of degrading.
-The end-to-end chaos runs (faults injected under real sweeps) live in
+guarantee that interrupts are never retried.  The end-to-end chaos runs
+(faults injected under real sweeps and the daemon's batch pool) live in
 ``tests/test_chaos.py``.
 """
 
@@ -16,10 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.sweep import SweepEngine
-from repro.compiler import clear_cache
-from repro.compiler.pipeline import compile_batch
 from repro.core.config import ProcessorConfig
-from repro.kernels.suite import get_kernel
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience import (
     FAULT_SITES,
@@ -59,8 +55,9 @@ def _double(x):
 
 
 def _faulty_double(x):
-    """Worker body with its own (glob-matched) fault site."""
-    faults_module.fault_point("sweep.point")
+    """Worker body that passes the ``sim.run`` fault site, as a
+    daemon batch-pool worker simulating a point does."""
+    faults_module.fault_point("sim.run")
     return 2 * x
 
 
@@ -81,7 +78,7 @@ class TestFaultPlan:
         plan = FaultPlan(
             seed=42,
             rules=(
-                FaultRule(site="sweep.point", kind="transient", at=(0, 2)),
+                FaultRule(site="sim.run", kind="transient", at=(0, 2)),
                 FaultRule(site="cache.*", kind="corrupt", probability=0.5),
             ),
         )
@@ -89,17 +86,26 @@ class TestFaultPlan:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
-            FaultRule(site="sweep.point", kind="meltdown")
+            FaultRule(site="sim.run", kind="meltdown")
 
     def test_unknown_site_rejected(self):
         with pytest.raises(ValueError, match="unknown fault site"):
             FaultRule(site="sweep.typo", kind="transient")
 
+    @pytest.mark.parametrize(
+        "site", ("sweep.point", "sweep.fan_out", "compile.point")
+    )
+    def test_deleted_pool_sites_rejected(self, site):
+        # Sweeps and batch compiles run in one process: their pool
+        # sites are gone, and a plan still naming them is an error.
+        with pytest.raises(ValueError, match="unknown fault site"):
+            FaultRule(site=site, kind="transient")
+
     def test_glob_site_allowed(self):
         rule = FaultRule(site="cache.*", kind="corrupt", at=(0,))
         assert rule.matches("cache.load")
         assert rule.matches("cache.store")
-        assert not rule.matches("sweep.point")
+        assert not rule.matches("sim.run")
 
     def test_probability_bounds_checked(self):
         with pytest.raises(ValueError, match="probability"):
@@ -119,24 +125,24 @@ class TestFaultPlan:
             seed=7,
             rules=(
                 FaultRule(
-                    site="sweep.point", kind="transient", probability=0.3
+                    site="sim.run", kind="transient", probability=0.3
                 ),
             ),
         )
-        first = [plan.decide("sweep.point", i) for i in range(64)]
-        second = [plan.decide("sweep.point", i) for i in range(64)]
+        first = [plan.decide("sim.run", i) for i in range(64)]
+        second = [plan.decide("sim.run", i) for i in range(64)]
         assert first == second
         assert any(d is not None for d in first)
         assert any(d is None for d in first)
 
     def test_different_seeds_differ(self):
         rule = FaultRule(
-            site="sweep.point", kind="transient", probability=0.5
+            site="sim.run", kind="transient", probability=0.5
         )
         a = FaultPlan(seed=1, rules=(rule,))
         b = FaultPlan(seed=2, rules=(rule,))
-        fires_a = [a.decide("sweep.point", i) is not None for i in range(64)]
-        fires_b = [b.decide("sweep.point", i) is not None for i in range(64)]
+        fires_a = [a.decide("sim.run", i) is not None for i in range(64)]
+        fires_b = [b.decide("sim.run", i) is not None for i in range(64)]
         assert fires_a != fires_b
 
     def test_env_adoption(self):
@@ -274,7 +280,7 @@ class TestResilientExecutor:
 
     def test_transient_fault_retried_in_pool(self):
         install_plan(FaultPlan(rules=(
-            FaultRule(site="sweep.point", kind="transient", at=(0,)),
+            FaultRule(site="sim.run", kind="transient", at=(0,)),
         )))
         metrics = MetricsRegistry()
         executor = ResilientExecutor(2, timeout=60, metrics=metrics)
@@ -287,7 +293,7 @@ class TestResilientExecutor:
 
     def test_oom_fault_retried(self):
         install_plan(FaultPlan(rules=(
-            FaultRule(site="sweep.point", kind="oom", at=(0,)),
+            FaultRule(site="sim.run", kind="oom", at=(0,)),
         )))
         executor = ResilientExecutor(2, timeout=60)
         assert executor.map(_faulty_double, [5]) == [10]
@@ -299,7 +305,7 @@ class TestResilientExecutor:
         # fault-free) finishes the work.
         install_plan(FaultPlan(rules=(
             FaultRule(
-                site="sweep.point", kind="crash", at=(0,),
+                site="sim.run", kind="crash", at=(0,),
                 workers_only=True,
             ),
         )))
@@ -317,7 +323,7 @@ class TestResilientExecutor:
         # pool, and eventually escalate to the serial path.
         install_plan(FaultPlan(rules=(
             FaultRule(
-                site="sweep.point", kind="hang", at=(0,),
+                site="sim.run", kind="hang", at=(0,),
                 hang_seconds=2.0, workers_only=True,
             ),
         )))
@@ -395,50 +401,6 @@ class TestResilientExecutor:
         )))
         with pytest.raises(InjectedCrash):
             faults_module.fault_point("sim.run")
-
-
-class _InterruptingExecutor:
-    """Stand-in executor whose map raises KeyboardInterrupt."""
-
-    def __init__(self, *args, **kwargs):
-        pass
-
-    def map(self, fn, items):
-        raise KeyboardInterrupt
-
-    def stats(self):
-        return {}
-
-
-class TestFanOutInterruptAudit:
-    """The fan-out paths' broad ``except Exception`` recovery must not
-    swallow interrupts into the degraded-serial path."""
-
-    def test_sweep_fan_out_propagates_interrupt(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.analysis.sweep.ResilientExecutor",
-            _InterruptingExecutor,
-        )
-        engine = SweepEngine()
-        with pytest.raises(KeyboardInterrupt):
-            engine.simulate_many(
-                [("fft1k", ProcessorConfig(8, 5)),
-                 ("fft1k", ProcessorConfig(16, 5))],
-                workers=2,
-            )
-
-    def test_compile_fan_out_propagates_interrupt(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.resilience.executor.ResilientExecutor",
-            _InterruptingExecutor,
-        )
-        clear_cache()
-        jobs = [
-            (get_kernel("fft"), ProcessorConfig(8, 5)),
-            (get_kernel("dct"), ProcessorConfig(8, 5)),
-        ]
-        with pytest.raises(KeyboardInterrupt):
-            compile_batch(jobs, workers=2)
 
 
 class TestSweepCheckpoint:

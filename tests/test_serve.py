@@ -141,7 +141,7 @@ class TestEndpointEquivalence:
         response = client.costs(8, 5)
         validate_envelope(response.payload)
         assert response.payload["kind"] == "costs"
-        assert response.payload["api_version"] == 5
+        assert response.payload["api_version"] == 6
         assert "duration_ms" in response.payload["meta"]
 
 
@@ -372,26 +372,36 @@ class TestRequestCorrelation:
         second = client.costs(8, 5).request_id
         assert first != second
 
-    def test_only_worker_starting_requests_export_the_id(self, monkeypatch):
-        """Every request binds its id; only one that can start worker
-        processes (a sweep with ``workers > 1``) also exports it to the
-        environment, which keeps each distinct value it is given."""
+    def test_no_request_exports_the_id(self, monkeypatch):
+        """Every request and job binds its id; none writes it to the
+        environment, which would keep each distinct value for the life
+        of the process.  Covers served costs, simulate and sweep
+        requests and a fig13 job run by the daemon's in-process
+        :class:`~repro.serve.jobs.JobManager` (its points and its
+        assembly)."""
+        from repro import api
+        from repro.cluster import coordinator
         from repro.obs.log import REQUEST_ID_ENV, current_request_id
-        from repro.serve import daemon
 
+        monkeypatch.setenv("REPRO_SWEEP_CHECKPOINT", "off")
         monkeypatch.delenv(REQUEST_ID_ENV, raising=False)
         seen = []
-        real_execute = daemon.execute
 
-        def spying_execute(request):
-            seen.append((
-                type(request).__name__,
-                current_request_id(),
-                os.environ.get(REQUEST_ID_ENV),
-            ))
-            return real_execute(request)
+        def spy(label, run):
+            def spying(request):
+                seen.append((
+                    label, current_request_id(),
+                    os.environ.get(REQUEST_ID_ENV),
+                ))
+                return run(request)
+            return spying
 
-        monkeypatch.setattr(daemon, "execute", spying_execute)
+        for cls, run in list(api._RUNNERS.items()):
+            monkeypatch.setitem(api._RUNNERS, cls, spy(cls.__name__, run))
+        monkeypatch.setattr(
+            coordinator, "compute_point_locally",
+            spy("point", coordinator.compute_point_locally),
+        )
         with running_server() as server:
             with ServeClient("127.0.0.1", server.port) as c:
                 assert c.costs(8, 5, request_id="env-cost").status == 200
@@ -399,13 +409,27 @@ class TestRequestCorrelation:
                     "fft1k", request_id="env-simulate"
                 ).status == 200
                 assert c.sweep(
-                    "fig13", workers=2, request_id="env-sweep"
+                    "fig13", kernel="fft", request_id="env-sweep"
                 ).status == 200
-        assert seen == [
+                submitted = c.submit_job("fig13", kernel="fft")
+                assert submitted.status == 202
+                job_id = submitted.data["job_id"]
+                final = c.wait_job(job_id, timeout_s=60)
+                assert final.data["state"] == "done"
+        assert seen[:3] == [
             ("CostQuery", "env-cost", None),
             ("SimulateRequest", "env-simulate", None),
-            ("SweepRequest", "env-sweep", "env-sweep"),
+            ("SweepRequest", "env-sweep", None),
         ]
+        job_calls = seen[3:]
+        assert [label for label, _, _ in job_calls] == (
+            ["point"] * (len(job_calls) - 1) + ["SweepRequest"]
+        )
+        assert len(job_calls) > 1
+        assert all(
+            bound == job_id and exported is None
+            for _, bound, exported in job_calls
+        )
         assert REQUEST_ID_ENV not in os.environ
 
 
@@ -515,9 +539,10 @@ class TestProgressEndpoint:
 
 class TestCorrelationAcrossSurfaces:
     def test_sweep_fanout_joins_logs_trace_and_progress(self, tmp_path):
-        """One request id, three surfaces: a fan-out sweep's id must be
+        """One request id, three surfaces: a fig15 sweep's id must be
         findable in the JSON logs (incl. its batch), the Chrome trace
-        instants, and the ``/v1/progress`` stream."""
+        instants, and the ``/v1/progress`` stream its points fan out
+        to."""
         from repro.analysis.sweep import clear_sweep_cache
         from repro.obs.log import ROOT_LOGGER, configure, validate_log_line
 
@@ -551,7 +576,7 @@ class TestCorrelationAcrossSurfaces:
                 with ServeClient(
                     "127.0.0.1", server.port, timeout=300.0
                 ) as c:
-                    response = c.sweep("fig15", workers=2, request_id=rid)
+                    response = c.sweep("fig15", request_id=rid)
                 assert response.status == 200
                 thread.join(60)
                 trace = json.loads(server.tracer.to_chrome_json())
@@ -584,13 +609,14 @@ class TestCorrelationAcrossSurfaces:
         ]
         assert instants
         # Surface 3: the progress stream saw the sweep end-to-end,
-        # including pool-collected points from the executor fan-out.
+        # including every cold point of the grid.
         assert events and all(
             e.get("request_id") == rid for e in events
         )
         assert events[-1]["event"] == "request_end"
         assert any(
-            e["event"] == "point" and e.get("pooled") for e in events
+            e["event"] == "point" and e.get("kind") == "sim"
+            for e in events
         )
         assert any(e["event"] == "sweep_progress" for e in events)
 

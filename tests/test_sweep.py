@@ -96,11 +96,6 @@ class TestSimulateMany:
         assert len(results) == len(points)
         assert engine.stats()["sim_misses"] == len(self.grid())
 
-    def test_parallel_matches_serial(self):
-        serial = SweepEngine().simulate_many(self.grid())
-        parallel = SweepEngine().simulate_many(self.grid(), workers=2)
-        assert parallel == serial
-
 
 class TestPerfIntegration:
     def test_figure15_matches_direct_simulation(self):
